@@ -3,17 +3,17 @@
 The kernel fast paths target the *default* configuration (no faults, no
 trace, no telemetry) -- the configuration every golden fingerprint runs
 under.  This module defines, for every Table 1 / Figure 2 cell, a
-default-configuration runner and a best-of-N wall-clock measurement, so
-``run_bench.py`` and the pre-refactor baseline capture use the exact
-same stopwatch.
+default-configuration runner and a best-of-N wall-clock measurement,
+the stopwatch behind ``run_bench.py``'s ``wall_time_s`` / ``cells_per_s``
+columns.
 
-Usage (capture a baseline file)::
+Usage (prints the ``{cell_key: wall_seconds}`` JSON; ``--output`` writes
+it to a file instead)::
 
-    PYTHONPATH=src python benchmarks/speed.py --output benchmarks/baseline_pr6.json
+    PYTHONPATH=src python benchmarks/speed.py [--cells KEY ...] [--output times.json]
 
-``run_bench.py`` then reads that file and reports per-cell
-``wall_time_s`` / ``cells_per_s`` / ``speedup`` columns next to the
-(deterministic) bandwidth columns.
+Wall seconds are only comparable within one session on one host: time
+two trees back to back, never against a file captured elsewhere.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "baseline_pr6.json"),
-        help="where to write the {cell_key: wall_seconds} JSON",
+        default=None,
+        help="write the {cell_key: wall_seconds} JSON here (default: stdout)",
     )
     parser.add_argument("--rounds", type=int, default=16)
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
@@ -140,12 +140,18 @@ def main(argv=None) -> int:
              "'table1:1024kb:prefetch=True'); default: all 40 cells",
     )
     args = parser.parse_args(argv)
-    times = measure_all(rounds=args.rounds, repeats=args.repeats, cells=args.cells)
+    # With no --output the JSON is the only thing on stdout.
+    times = measure_all(
+        rounds=args.rounds, repeats=args.repeats, cells=args.cells, verbose=args.output is not None
+    )
     payload = {
         "note": "best-of-%d wall seconds per default-config cell" % args.repeats,
         "rounds": args.rounds,
         "cells": times,
     }
+    if args.output is None:
+        print(json.dumps(payload, indent=2))
+        return 0
     with open(args.output, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

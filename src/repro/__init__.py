@@ -39,7 +39,7 @@ from repro.core import (
     TunerConfig,
     make_policy,
 )
-from repro.machine import Machine
+from repro.machine import Machine, SimulationStalled
 from repro.metrics import BandwidthReport, report_from_handles
 from repro.pfs import IOMode, StripeAttributes
 from repro.workloads import (
@@ -66,6 +66,7 @@ __all__ = [
     "PrefetchStats",
     "Prefetcher",
     "SeparateFilesWorkload",
+    "SimulationStalled",
     "StrideDetector",
     "StridedPolicy",
     "StripeAttributes",

@@ -51,6 +51,33 @@ class MeshMessage:
     duplicated: bool = False
 
 
+class _MeshLink(ArbitratedResource):
+    """A directed link, plus what a callback worm needs to collapse its walk.
+
+    ``pending`` holds the header-start times of callback worms still in
+    their software-overhead phase whose route crosses this link, oldest
+    first; ``walkers`` counts worms crossing it that walk their header
+    hop by hop; ``released_at`` is the time of the last release.
+    """
+
+    def __init__(self, env: Environment) -> None:
+        super().__init__(env, capacity=1)
+        self.pending: List[float] = []
+        self.walkers = 0
+        self.released_at = float("-inf")
+
+
+@dataclass(slots=True)
+class _Route:
+    """A cached XY route: its ``(link, resource)`` pairs and link resources."""
+
+    pairs: List[Tuple[Link, _MeshLink]]
+    links: Tuple[_MeshLink, ...]
+    #: The header walk may run as one event (see :meth:`_FastWorm.collapse`):
+    #: at least two hops, and a walk shorter than the software overhead.
+    collapsible: bool
+
+
 # fast-path: requires=faults,tracer,telemetry -- callback worm skips per-hop generator resumes; legal only when nothing observes the interior
 class _FastWorm:
     """Event-callback worm: one mesh transmission without a generator.
@@ -61,18 +88,21 @@ class _FastWorm:
     plan, no trace span, no telemetry probe), this state machine drives
     the identical event sequence -- same software-overhead timeout, same
     per-hop merged grants at the same times with the same queue ids --
-    through flat callbacks, and wakes the caller exactly once.
+    through flat callbacks, and wakes the caller exactly once.  When no
+    other worm can touch its links before its header arrives, the whole
+    header walk is one event (see :meth:`collapse`).
 
     The caller waits on ``proxy``, an event that is never scheduled: the
-    final grant's pop runs :meth:`advance` -> :meth:`_finish`, which
-    invokes the proxy's callbacks synchronously on that same pop --
-    exactly when the generator version would have resumed the caller.
+    pop of the final grant (or of a collapsed walk's completion) runs
+    :meth:`_finish`, which invokes the proxy's callbacks synchronously
+    on that same pop -- exactly when the generator version would have
+    resumed the caller.
     """
 
     __slots__ = (
         "mesh",
         "message",
-        "pairs",
+        "route",
         "route_key",
         "per_hop",
         "body_time",
@@ -80,7 +110,6 @@ class _FastWorm:
         "requests",
         "granted",
         "requested_at",
-        "body_waited",
         "proxy",
     )
 
@@ -89,7 +118,7 @@ class _FastWorm:
         self.message = message
         self.proxy = proxy
         p = mesh.params
-        self.pairs = mesh._route_pairs(message.src, message.dst)
+        route = self.route = mesh._route(message.src, message.dst)
         self.route_key = (message.src, message.dst)
         self.per_hop = p.per_hop_s
         self.body_time = message.size_bytes / p.link_bandwidth_bps
@@ -97,11 +126,15 @@ class _FastWorm:
         self.requests: list = []
         self.granted: list = []
         self.requested_at = 0.0
-        self.body_waited = False
         # Software send overhead: the same Timeout the generator path
         # yields first, with the worm itself as the continuation.
         sw = Timeout(mesh.env, p.sw_overhead_s)
         sw.callbacks.append(self.advance)
+        if route.links:
+            # The header start, as the timeout's own pop time.
+            start = mesh.env._now + p.sw_overhead_s
+            for link in route.links:
+                link.pending.append(start)
 
     def advance(self, event: Event) -> None:
         """Continuation run by each hop's merged grant (and the sw timeout)."""
@@ -110,13 +143,26 @@ class _FastWorm:
         idx = self.idx
         if idx < 0:
             mesh._in_flight += 1
+            route = self.route
+            links = route.links
+            if links:
+                for link in links:
+                    del link.pending[0]
+                if len(links) > 1:
+                    if route.collapsible and self.collapse(env):
+                        return
+                    # A one-hop worm's only request is visible at once
+                    # in the link's queue; a longer walk announces the
+                    # links it has yet to request until it finishes.
+                    for link in links:
+                        link.walkers += 1
         else:
             granted_at = event._value
             if granted_at is None:
                 granted_at = env._now
             mesh.wait_s += granted_at - self.requested_at
             self.granted.append(granted_at)
-        pairs = self.pairs
+        pairs = self.route.pairs
         nxt = idx + 1
         self.idx = nxt
         last = len(pairs) - 1
@@ -130,21 +176,79 @@ class _FastWorm:
             self.requests.append(req)
             req.callbacks.append(self.advance)
             return
-        if last < 0 and self.body_time > 0 and not self.body_waited:
-            # Zero-hop message: stream the body with a plain timeout.
-            self.body_waited = True
+        if last < 0 and self.body_time > 0:
+            # Zero-hop message: stream the body with a plain timeout
+            # (no link grant, so no wait to account).
             body = Timeout(env, self.body_time)
-            body.callbacks.append(self.advance)
+            body.callbacks.append(self._complete)
             return
         self._finish(env)
 
+    def collapse(self, env: Environment) -> bool:
+        """Claim every route link now and schedule only the completion.
+
+        The hop-by-hop walk grants link ``i`` at ``t_i = t_{i-1} +
+        per_hop`` and completes at ``(t_last + per_hop) + body_time``.
+        Holding link ``i`` from the header start instead of from ``t_i``
+        is unobservable when nothing else requests it before ``t_i``:
+        every link is free, with no queue and no release at or after
+        now; no walking worm shares a link; and no worm still in its
+        software-overhead phase shares a link with a header start at or
+        before ``t_last``.  A worm sent from now on starts its header at
+        ``now + sw_overhead_s``, after ``t_last`` (``hops * per_hop <
+        sw_overhead_s``).  Every worm this reads existed before the
+        current timestep or cannot block, so the outcome is the same in
+        every same-time pop order.
+        """
+        now = env._now
+        per_hop = self.per_hop
+        links = self.route.links
+        granted = []
+        t = now
+        for link in links:
+            if link.users or link.queue or link.walkers or link.released_at >= now:
+                return False
+            granted.append(t)
+            t += per_hop
+        t_last = granted[-1]
+        for link in links:
+            pending = link.pending
+            if pending and pending[0] <= t_last:
+                return False
+        for link in links:
+            link.users.append(self)
+        # The worm itself holds each link (``requests`` stays empty: a
+        # list of self-references would make every worm cyclic garbage).
+        self.granted = granted
+        done = Event(env)
+        done._ok = True
+        done._value = None
+        done.callbacks.append(self._complete)
+        env.schedule_at(done, t + self.body_time)
+        return True
+
+    def _complete(self, event: Event) -> None:
+        self._finish(event.env)
+
     def _finish(self, env: Environment) -> None:
         mesh = self.mesh
-        pairs = self.pairs
+        route = self.route
+        pairs = route.pairs
         released_at = env._now
+        links = route.links
         requests = self.requests
-        for i in range(len(pairs)):
-            pairs[i][1].release(requests[i])
+        if requests:
+            for i in range(len(links)):
+                link = links[i]
+                link.release(requests[i])
+                link.released_at = released_at
+            if len(links) > 1:
+                for link in links:
+                    link.walkers -= 1
+        else:
+            for link in links:
+                link.release(self)
+                link.released_at = released_at
         busy = mesh._link_busy_s
         granted = self.granted
         for i in range(len(pairs)):
@@ -189,10 +293,10 @@ class Mesh:
         self.monitor = monitor
         self.faults = faults
         self.tracer = get_tracer(monitor)
-        self._links: Dict[Link, ArbitratedResource] = {}
-        #: (src, dst) -> [(link, link resource), ...] -- XY routes are
-        #: static, so each pair's route is computed and resolved once.
-        self._route_cache: Dict[Tuple[Coord, Coord], List[Tuple[Link, ArbitratedResource]]] = {}
+        self._links: Dict[Link, _MeshLink] = {}
+        #: (src, dst) -> route -- XY routes are static, so each pair's
+        #: route is computed and resolved once.
+        self._route_cache: Dict[Tuple[Coord, Coord], _Route] = {}
         #: Per-directed-link seconds held by a streaming worm.
         self._link_busy_s: Dict[Link, float] = {}
         #: Total seconds senders spent blocked on link acquisition
@@ -262,13 +366,13 @@ class Mesh:
     def hops(self, src: Coord, dst: Coord) -> int:
         return abs(src[0] - dst[0]) + abs(src[1] - dst[1])
 
-    def _link(self, link: Link) -> ArbitratedResource:
+    def _link(self, link: Link) -> _MeshLink:
         res = self._links.get(link)
         if res is None:
             # Arbitrated: two worms requesting the same link at the same
             # simulated time are ordered by (src, dst), not by event
             # insertion order -- port arbitration must not be a race.
-            res = self._links[link] = ArbitratedResource(self.env, capacity=1)
+            res = self._links[link] = _MeshLink(self.env)
             (ax, ay), (bx, by) = link
             self.telemetry.register_probe(
                 "mesh_link_busy_seconds",
@@ -279,14 +383,20 @@ class Mesh:
             )
         return res
 
-    def _route_pairs(self, src: Coord, dst: Coord) -> List[Tuple[Link, ArbitratedResource]]:
-        """Cached [(link, resource), ...] along the XY route."""
+    def _route(self, src: Coord, dst: Coord) -> _Route:
+        """The cached XY route from *src* to *dst*."""
         key = (src, dst)
-        pairs = self._route_cache.get(key)
-        if pairs is None:
+        route = self._route_cache.get(key)
+        if route is None:
             pairs = [(link, self._link(link)) for link in self.route(src, dst)]
-            self._route_cache[key] = pairs
-        return pairs
+            p = self.params
+            hops = len(pairs)
+            route = self._route_cache[key] = _Route(
+                pairs,
+                tuple(res for _link, res in pairs),
+                hops >= 2 and hops * p.per_hop_s < p.sw_overhead_s,
+            )
+        return route
 
     # -- transmission -------------------------------------------------------
 
@@ -327,7 +437,7 @@ class Mesh:
         # Software send overhead (charged regardless of distance).
         yield env.timeout(p.sw_overhead_s)
 
-        pairs = self._route_pairs(message.src, message.dst)
+        pairs = self._route(message.src, message.dst).pairs
         route_key = (message.src, message.dst)
         per_hop = p.per_hop_s
         body_time = message.size_bytes / p.link_bandwidth_bps

@@ -34,8 +34,22 @@ from repro.pfs.mount import PFSMount
 from repro.pfs.server import PFSServer
 from repro.pfs.stripe import StripeAttributes, ufs_file_size
 from repro.obs import Observability
-from repro.sim import Environment
+from repro.sim import Environment, Process
 from repro.ufs import UFS, BlockDevice
+
+
+class SimulationStalled(RuntimeError):
+    """:meth:`Machine.run` drained the event queue while processes started
+    by :meth:`Machine.spawn` were still blocked: nothing left could wake
+    them, so the run can never finish."""
+
+    def __init__(self, processes: List[Process]) -> None:
+        self.processes = tuple(processes)
+        names = ", ".join(repr(process.name) for process in self.processes)
+        super().__init__(
+            f"event queue drained with {len(self.processes)} spawned "
+            f"process(es) still blocked: {names}"
+        )
 
 
 class Machine:
@@ -45,6 +59,8 @@ class Machine:
         self.config = config or MachineConfig()
         cfg = self.config
         self.env = Environment(tie_break=cfg.tie_break)
+        #: Processes started by :meth:`spawn` not yet seen finished.
+        self._spawned: List[Process] = []
         #: Unified observability handle: stats registry + request tracer
         #: + telemetry (metric registry, probes, sampler).
         self.obs = Observability(
@@ -580,12 +596,24 @@ class Machine:
     # -- running -------------------------------------------------------------------------
 
     def run(self, until=None):
-        """Run the simulation (delegates to the environment)."""
-        return self.env.run(until=until)
+        """Run the simulation (delegates to the environment).
+
+        With no *until* the run lasts until the event queue drains; a
+        process started by :meth:`spawn` that is still alive then can
+        never be woken, and :class:`SimulationStalled` names it.
+        """
+        result = self.env.run(until=until)
+        blocked = [process for process in self._spawned if process.is_alive]
+        self._spawned = blocked
+        if until is None and blocked:
+            raise SimulationStalled(blocked)
+        return result
 
     def spawn(self, generator, name: Optional[str] = None):
         """Start a process on the machine."""
-        return self.env.process(generator, name=name)
+        process = self.env.process(generator, name=name)
+        self._spawned.append(process)
+        return process
 
     def io_node_positions(self) -> List[Tuple[int, int]]:
         return [node.position for node in self.io_nodes]

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import MachineConfig, PFSConfig
-from repro.machine import Machine
+from repro.hardware import MeshMessage
+from repro.machine import Machine, SimulationStalled
 from repro.pfs import IOMode, StripeAttributes
 from repro.pfs.client import PFSClientError
 from repro.pfs.mount import PFSMountError
@@ -163,6 +164,45 @@ class TestVerify:
         pfs_file.size_bytes = 1  # metadata now lies
         problems = machine.verify()
         assert any("logical size" in p for p in problems)
+
+
+class TestStallDetection:
+    def _leak_first_link(self, machine, src, dst):
+        """Spawn a process that takes the first link of the src->dst route
+        and exits without releasing it."""
+        link = machine.mesh._link(machine.mesh.route(src, dst)[0])
+
+        def leaker():
+            yield link.request()
+
+        machine.spawn(leaker(), name="leaker")
+
+    def test_leaked_mesh_link_raises_naming_blocked_process(self):
+        machine = Machine(MachineConfig(n_compute=2, n_io=2))
+        src = machine.compute_nodes[0].position
+        dst = machine.io_nodes[0].position
+        self._leak_first_link(machine, src, dst)
+
+        def sender():
+            yield machine.env.timeout(1e-3)
+            yield from machine.mesh.send(MeshMessage(src, dst, 4096))
+
+        machine.spawn(sender(), name="sender")
+        with pytest.raises(SimulationStalled, match="'sender'") as info:
+            machine.run()
+        assert [p.name for p in info.value.processes] == ["sender"]
+
+    def test_finished_run_and_bounded_run_do_not_raise(self):
+        machine = Machine(MachineConfig(n_compute=2, n_io=2))
+
+        def sleeper(delay):
+            yield machine.env.timeout(delay)
+
+        machine.spawn(sleeper(1.0), name="short")
+        machine.spawn(sleeper(5.0), name="long")
+        machine.run(until=2.0)  # "long" is alive, but the run was bounded
+        machine.run()
+        assert machine.env.now == 5.0
 
 
 class TestDescribe:
