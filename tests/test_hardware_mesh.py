@@ -1,7 +1,7 @@
 """Unit tests for the 2D mesh interconnect model."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import Mesh, MeshMessage, MeshParams
@@ -244,6 +244,10 @@ def bursts(draw):
 class TestCollapsedHeaderWalk:
     @settings(max_examples=300, deadline=None)
     @given(case=bursts())
+    # A 4-hop walk outlasts the 2.5 s overhead: a worm sent after the
+    # first one's header started reaches its last link at the same
+    # instant and wins the tie on its smaller key.
+    @example(case=(DIFF_PARAMS[1], 4, 2, [((3, 0), (0, 1), 1, 0), ((0, 0), (0, 1), 1, 3)]))
     def test_matches_stepped_path(self, case):
         params, width, height, burst = case
         keys = [(tie_break, stepped) for tie_break in ("fifo", "lifo") for stepped in (False, True)]
