@@ -6,7 +6,7 @@ Quickstart::
 
     from repro import (
         Machine, MachineConfig, PFSConfig, IOMode,
-        CollectiveReadWorkload, Prefetcher, OneRequestAhead,
+        CollectiveReadWorkload, Prefetcher,
     )
 
     machine = Machine(MachineConfig(n_compute=8, n_io=8))
@@ -18,24 +18,26 @@ Quickstart::
         request_size=64 * 1024,
         compute_delay=0.05,
         iomode=IOMode.M_RECORD,
-        prefetcher_factory=lambda rank: Prefetcher(OneRequestAhead()),
+        prefetcher_factory=lambda rank: Prefetcher(),  # the paper's prototype
     )
     result = workload.run()
     print(result.report.collective_bandwidth_mbps)
+
+``Prefetcher()`` runs the one prefetch pipeline,
+:class:`~repro.core.policies.DepthKAhead`, at depth 1.  Other presets
+come from :func:`make_policy` (``"none"``, ``"one-ahead"``,
+``"depth-k"``, ``"adaptive"``), e.g.
+``Prefetcher(make_policy("depth-k", depth=4))``.
 """
 
 from repro.config import MachineConfig, PFSConfig
 from repro.core import (
     AdaptivePolicy,
     DepthKAhead,
-    NoPrefetch,
-    OneRequestAhead,
     OnlineTuner,
     Prefetcher,
-    PrefetchPolicy,
     PrefetchStats,
     StrideDetector,
-    StridedPolicy,
     TunerConfig,
     make_policy,
 )
@@ -58,17 +60,13 @@ __all__ = [
     "IOMode",
     "Machine",
     "MachineConfig",
-    "NoPrefetch",
-    "OneRequestAhead",
     "OnlineTuner",
     "PFSConfig",
-    "PrefetchPolicy",
     "PrefetchStats",
     "Prefetcher",
     "SeparateFilesWorkload",
     "SimulationStalled",
     "StrideDetector",
-    "StridedPolicy",
     "StripeAttributes",
     "TunerConfig",
     "WorkloadResult",

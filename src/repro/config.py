@@ -60,18 +60,19 @@ class MachineConfig:
     telemetry: bool = False
     #: Telemetry sampler cadence in simulated seconds.
     telemetry_interval_s: float = 0.05
-    #: Client prefetch policy built by :meth:`Machine.build_prefetcher`
-    #: for workload prefetchers: "one-ahead" (the paper's prototype),
-    #: "none", "depth-k", "strided", or "adaptive" (per-file depth
-    #: controller).  The default keeps runs bit-identical to the seed.
+    #: Client prefetch preset built by :meth:`Machine.build_prefetcher`
+    #: for workload prefetchers (:func:`repro.core.policies.make_policy`):
+    #: "one-ahead" (the paper's prototype), "none", "depth-k", or
+    #: "adaptive" (per-file depth controller).  The default keeps runs
+    #: bit-identical to the seed.
     prefetch_policy: str = "one-ahead"
-    #: Pipeline depth for depth-aware policies (initial depth for
-    #: "adaptive"; 1 = the paper's one-request-ahead).
+    #: Pipeline depth (initial depth for "adaptive"; ignored by "none";
+    #: 1 = the paper's one-request-ahead).
     prefetch_depth: int = 1
     #: Cap on outstanding prefetch bytes per handle (None = bounded only
     #: by compute-node memory).
     prefetch_quota_bytes: Optional[int] = None
-    #: Attach a per-handle stride detector to depth-aware policies so
+    #: Attach a per-handle stride detector to "depth-k" / "adaptive" so
     #: lseek-strided M_ASYNC streams are predicted from the observed
     #: access history instead of the (wrong) mode arithmetic.
     prefetch_stride_detect: bool = True

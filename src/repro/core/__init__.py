@@ -11,46 +11,41 @@ is no computation to overlap with.
 
 - :mod:`repro.core.prefetch_buffer` -- buffer structures and the
   per-file buffer list.
-- :mod:`repro.core.policies` -- what to prefetch: the paper's
-  one-request-ahead policy plus deeper / strided / adaptive extensions.
+- :mod:`repro.core.policies` -- what to prefetch: one depth-k pipeline
+  whose depth-1 preset is the paper's one-request-ahead prototype, with
+  stride detection, buffer quota and an adaptive depth controller.
 - :mod:`repro.core.prefetcher` -- the prefetcher: hit / partial-hit /
   miss service and prefetch issue.
 - :mod:`repro.core.tuner` -- online retuning of prefetch depth / buffer
   quota / request size at simulated-time intervals (zero events).
-- :mod:`repro.core.stats` -- hit ratios, overlap, wasted prefetches.
+
+Prefetch statistics (hit ratios, overlap, wasted prefetches) live in
+:mod:`repro.obs.stats`.
 """
 
 from repro.core.policies import (
     POLICY_NAMES,
     AdaptivePolicy,
     DepthKAhead,
-    NoPrefetch,
-    OneRequestAhead,
-    PrefetchPolicy,
     StrideDetector,
-    StridedPolicy,
     make_policy,
 )
 from repro.core.prefetch_buffer import BufferState, PrefetchBuffer, PrefetchBufferList
 from repro.core.prefetcher import Prefetcher
-from repro.core.stats import PrefetchStats
 from repro.core.tuner import OnlineTuner, TunerConfig
+from repro.obs.stats import PrefetchStats
 
 __all__ = [
     "AdaptivePolicy",
     "BufferState",
     "DepthKAhead",
-    "NoPrefetch",
     "OnlineTuner",
-    "OneRequestAhead",
     "POLICY_NAMES",
     "PrefetchBuffer",
     "PrefetchBufferList",
-    "PrefetchPolicy",
     "PrefetchStats",
     "Prefetcher",
     "StrideDetector",
-    "StridedPolicy",
     "TunerConfig",
     "make_policy",
 ]

@@ -1,28 +1,28 @@
 """Prefetch policies: deciding *what* to fetch ahead.
 
-The paper's prototype is :class:`OneRequestAhead`: "The prototype
-prefetches only one block of data it anticipates will be needed for the
-future read request.  [...] The prefetch request is issued in
-anticipation of another read request issued by the same user thread on
-the same file."  The anticipated block is the same process's next
-request under the current I/O mode -- computable without messages only
-in the deterministic-offset modes (M_RECORD, M_ASYNC), which is why the
-prototype lives in M_RECORD.
+One pipeline, :class:`DepthKAhead`, plans every prefetch.  The paper's
+prototype is its depth-1 case: "The prototype prefetches only one block
+of data it anticipates will be needed for the future read request.
+[...] The prefetch request is issued in anticipation of another read
+request issued by the same user thread on the same file."  The
+anticipated block is the same process's next request under the current
+I/O mode -- computable without messages only in the deterministic-offset
+modes (M_RECORD, M_ASYNC), which is why the prototype lives in M_RECORD.
 
 Extensions (the paper's future work, exercised by the policy bench and
-property suites):
+property suites) are knobs on the same pipeline:
 
-- :class:`DepthKAhead` -- a depth-k pipeline with buffer-pressure
-  capping.  At ``depth=1`` with no quota and no detector it plans
-  exactly the :class:`OneRequestAhead` ranges (both call the shared
-  :func:`_arithmetic_ranges`, so the equivalence holds by construction
-  and is locked by a Hypothesis property).
+- ``depth`` -- how many anticipated requests to keep in flight (0 turns
+  prefetching off), with buffer-pressure capping by ``quota_bytes``.
 - :class:`StrideDetector` -- infers a fixed stride from a handle's
   demand-offset history, covering non-unit-stride M_ASYNC readers whose
   next offset the mode arithmetic cannot predict.
-- :class:`AdaptivePolicy` -- a per-file depth controller driven by the
-  hit/partial/miss rates in :class:`~repro.obs.stats.PrefetchStats` and
-  by buffer occupancy.
+- :class:`AdaptivePolicy` -- the pipeline plus a per-file depth
+  controller driven by the hit/partial/miss rates in
+  :class:`~repro.obs.stats.PrefetchStats` and by buffer occupancy.
+
+:func:`make_policy` names the presets (:data:`POLICY_NAMES`) that
+:class:`~repro.config.MachineConfig` and scale tenants select by name.
 
 All state lives on the policy objects and every decision is a pure
 function of the handle's own demand stream and its own prefetcher's
@@ -43,89 +43,7 @@ PlannedRange = Tuple[int, int]
 
 #: Policy names accepted by :func:`make_policy` (and by
 #: :attr:`repro.config.MachineConfig.prefetch_policy`).
-POLICY_NAMES = ("none", "one-ahead", "depth-k", "strided", "adaptive")
-
-
-class PrefetchPolicy:
-    """Decides which ranges to prefetch after a demand read."""
-
-    name = "base"
-
-    def plan(
-        self,
-        handle: "PFSFileHandle",
-        offset: int,
-        nbytes: int,
-        prefetcher: "Prefetcher",
-    ) -> List[PlannedRange]:
-        """Ranges to prefetch after a demand read of [offset, offset+nbytes)."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__}>"
-
-
-class NoPrefetch(PrefetchPolicy):
-    """Prefetching disabled (the paper's baseline)."""
-
-    name = "none"
-
-    def plan(self, handle, offset, nbytes, prefetcher):
-        return []
-
-
-def _arithmetic_ranges(handle: "PFSFileHandle", nbytes: int, depth: int) -> List[PlannedRange]:
-    """The mode-arithmetic prediction shared by the depth policies.
-
-    The anticipated base is the handle's own next offset under the
-    current I/O mode; successive pipeline slots advance by the mode's
-    per-request stride (``nprocs * nbytes`` in M_RECORD, ``nbytes``
-    otherwise).  Ranges are clamped at EOF; planning stops at the first
-    empty slot.
-    """
-    if nbytes <= 0:
-        return []
-    base = handle.next_read_offset(nbytes)
-    if base is None:
-        # Mode without deterministic offsets: nothing to anticipate.
-        return []
-    from repro.pfs.modes import IOMode
-
-    stride = handle.nprocs * nbytes if handle.iomode is IOMode.M_RECORD else nbytes
-    plans: List[PlannedRange] = []
-    size = handle.file.size_bytes
-    for k in range(depth):
-        start = base + k * stride
-        length = max(0, min(nbytes, size - start))
-        if length <= 0:
-            break
-        plans.append((start, length))
-    return plans
-
-
-class OneRequestAhead(PrefetchPolicy):
-    """The paper's prototype: fetch the next anticipated request.
-
-    Parameters
-    ----------
-    depth:
-        How many future requests to cover (1 = the prototype).
-    """
-
-    def __init__(self, depth: int = 1) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.depth = depth
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return "one-ahead" if self.depth == 1 else f"{self.depth}-ahead"
-
-    def plan(self, handle, offset, nbytes, prefetcher):
-        return _arithmetic_ranges(handle, nbytes, self.depth)
-
-    def __repr__(self) -> str:
-        return f"<OneRequestAhead depth={self.depth}>"
+POLICY_NAMES = ("none", "one-ahead", "depth-k", "adaptive")
 
 
 class StrideDetector:
@@ -153,10 +71,6 @@ class StrideDetector:
     def stride(self) -> Optional[int]:
         """The currently hypothesised stride (None before two samples)."""
         return self._stride
-
-    @property
-    def confirmations(self) -> int:
-        return self._confirmations
 
     @property
     def confident(self) -> bool:
@@ -196,53 +110,9 @@ class StrideDetector:
         )
 
 
-class StridedPolicy(PrefetchPolicy):
-    """Detects a fixed stride from the demand stream and runs ahead of it.
-
-    Useful for M_ASYNC readers walking a file with lseek in a regular
-    pattern the mode arithmetic cannot predict.  A thin wrapper over
-    :class:`StrideDetector` that prefetches only when confident.
-    """
-
-    name = "strided"
-
-    def __init__(self, depth: int = 1, min_confirmations: int = 2) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.depth = depth
-        self.detector = StrideDetector(min_confirmations=min_confirmations)
-
-    @property
-    def min_confirmations(self) -> int:
-        return self.detector.min_confirmations
-
-    def observe(self, offset: int) -> None:
-        self.detector.observe(offset)
-
-    def plan(self, handle, offset, nbytes, prefetcher):
-        self.detector.observe(offset, nbytes)
-        if not self.detector.confident or nbytes <= 0:
-            return []
-        stride = self.detector.stride
-        assert stride is not None
-        plans: List[PlannedRange] = []
-        size = handle.file.size_bytes
-        for k in range(1, self.depth + 1):
-            start = offset + k * stride
-            if start < 0:
-                break
-            length = max(0, min(nbytes, size - start))
-            if length <= 0:
-                break
-            plans.append((start, length))
-        return plans
-
-
 def _coalesce(ranges: List[PlannedRange], batch: int) -> List[PlannedRange]:
     """Merge runs of adjacent planned ranges into requests of up to
     *batch* slots each (the tuner's request-size knob)."""
-    if batch <= 1:
-        return ranges
     out: List[Tuple[int, int, int]] = []
     for start, length in ranges:
         if out and out[-1][0] + out[-1][1] == start and out[-1][2] < batch:
@@ -253,22 +123,25 @@ def _coalesce(ranges: List[PlannedRange], batch: int) -> List[PlannedRange]:
     return [(s, ln) for s, ln, _ in out]
 
 
-class DepthKAhead(PrefetchPolicy):
-    """Depth-k prefetch pipeline with buffer-pressure capping.
+class DepthKAhead:
+    """The prefetch pipeline: plan up to *depth* anticipated requests.
 
-    Plans up to *depth* anticipated requests.  Prediction uses the same
-    per-mode arithmetic as :class:`OneRequestAhead` (at ``depth=1`` with
-    no quota/detector/batch the plans are identical by construction),
-    overridden by a confident :class:`StrideDetector` when one is
-    attached -- the detector's stride equals the arithmetic stride on
-    regular sequential/record streams, and covers lseek-strided M_ASYNC
-    streams the arithmetic mispredicts.
+    ``DepthKAhead(1)`` -- no detector, no quota, no batching -- is the
+    paper's prototype.  ``depth=0`` plans nothing (prefetching off).
 
-    Buffer pressure: ranges overlapping an outstanding (live) prefetch
-    buffer are filtered out of the plan (never re-requested), and
-    planning stops once outstanding-plus-planned bytes would exceed
-    *quota_bytes*.  Both caps are property-tested: planned ranges never
-    overlap live buffers nor push total prefetch bytes past the quota.
+    Prediction uses the per-mode arithmetic of the prototype, overridden
+    by a confident :class:`StrideDetector` when one is attached -- the
+    detector's stride equals the arithmetic stride on regular
+    sequential/record streams, and covers lseek-strided M_ASYNC streams
+    the arithmetic mispredicts.
+
+    Buffer pressure: a range overlapping an outstanding (live) prefetch
+    buffer or an earlier range of the same plan is dropped (never
+    re-requested) and counted in the prefetcher's
+    ``stats.skipped_duplicate``; planning stops once
+    outstanding-plus-planned bytes would exceed *quota_bytes*.  Both
+    caps are property-tested: planned ranges never overlap live buffers
+    or each other, nor push total prefetch bytes past the quota.
 
     ``batch > 1`` coalesces adjacent planned ranges into fewer, larger
     requests (the online tuner's request-size knob).
@@ -281,23 +154,10 @@ class DepthKAhead(PrefetchPolicy):
         detector: Optional[StrideDetector] = None,
         batch: int = 1,
     ) -> None:
-        self.depth = depth
-        self.quota_bytes = quota_bytes
+        self.set_depth(depth)
+        self.set_quota(quota_bytes)
+        self.set_batch(batch)
         self.detector = detector
-        self.batch = batch
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if self.quota_bytes is not None and self.quota_bytes <= 0:
-            raise ValueError("quota_bytes must be positive (or None)")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"depth-{self.depth}"
 
     # -- tuner knobs -----------------------------------------------------
 
@@ -318,60 +178,84 @@ class DepthKAhead(PrefetchPolicy):
 
     # -- planning --------------------------------------------------------
 
-    def plan(self, handle, offset, nbytes, prefetcher):
-        if self.detector is not None:
-            self.detector.observe(offset, nbytes)
+    def plan(
+        self,
+        handle: "PFSFileHandle",
+        offset: int,
+        nbytes: int,
+        prefetcher: Optional["Prefetcher"],
+    ) -> List[PlannedRange]:
+        """Ranges to prefetch after a demand read of [offset, offset+nbytes).
+
+        The detector observes every demand read, even at depth 0, so a
+        paused pipeline restarts from a confident prediction.
+        """
+        det = self.detector
+        if det is not None:
+            det.observe(offset, nbytes)
         if self.depth < 1 or nbytes <= 0:
             return []
-        ranges = self._candidates(handle, offset, nbytes)
-        ranges = _coalesce(ranges, self.batch)
+        if det is not None and det.confident:
+            # Run ahead of the observed stride from this demand read.
+            first = offset + det.stride
+            step = det.stride
+        else:
+            # The mode arithmetic: the handle's own next offset under the
+            # current I/O mode, advancing by the mode's per-request stride.
+            first = handle.next_read_offset(nbytes)
+            if first is None:
+                # Mode without deterministic offsets: nothing to anticipate.
+                return []
+            from repro.pfs.modes import IOMode
+
+            step = handle.nprocs * nbytes if handle.iomode is IOMode.M_RECORD else nbytes
+        # Clamp at EOF; planning stops at the first empty slot.
+        size = handle.file.size_bytes
+        ranges: List[PlannedRange] = []
+        for k in range(self.depth):
+            start = first + k * step
+            length = min(nbytes, size - start)
+            if start < 0 or length <= 0:
+                break
+            ranges.append((start, length))
+        if self.batch > 1:
+            ranges = _coalesce(ranges, self.batch)
         return self._cap(ranges, prefetcher)
 
-    def _candidates(self, handle, offset, nbytes) -> List[PlannedRange]:
-        det = self.detector
-        if det is not None and det.confident:
-            size = handle.file.size_bytes
-            plans: List[PlannedRange] = []
-            for k in range(1, self.depth + 1):
-                start = det.predict(offset, k)
-                if start is None or start < 0:
-                    break
-                length = max(0, min(nbytes, size - start))
-                if length <= 0:
-                    break
-                plans.append((start, length))
-            return plans
-        return _arithmetic_ranges(handle, nbytes, self.depth)
-
     def _cap(self, ranges: List[PlannedRange], prefetcher) -> List[PlannedRange]:
-        blist = getattr(prefetcher, "_list", None) if prefetcher is not None else None
-        live = blist.live_bytes if blist is not None else 0
+        blist = prefetcher._list if prefetcher is not None else None
+        quota = self.quota_bytes
+        used = blist.live_bytes if quota is not None and blist is not None else 0
         out: List[PlannedRange] = []
-        planned = 0
         for start, length in ranges:
-            if blist is not None and blist.overlaps_range(start, length):
-                # Already in flight or ready: the pipeline covers it.
+            end = start + length
+            if (blist is not None and blist.overlaps_range(start, length)) or (
+                out and any(s < end and start < s + n for s, n in out)
+            ):
+                # Already in flight, ready, or planned: the pipeline covers it.
+                if prefetcher is not None:
+                    prefetcher.stats.skipped_duplicate += 1
                 continue
-            if self.quota_bytes is not None and live + planned + length > self.quota_bytes:
+            if quota is not None and used + length > quota:
                 break
             out.append((start, length))
-            planned += length
+            used += length
         return out
 
     def __repr__(self) -> str:
         return (
-            f"<DepthKAhead depth={self.depth} quota={self.quota_bytes} "
+            f"<{type(self).__name__} depth={self.depth} quota={self.quota_bytes} "
             f"batch={self.batch} detector={self.detector!r}>"
         )
 
 
-class AdaptivePolicy(PrefetchPolicy):
-    """Per-file adaptive depth controller.
+class AdaptivePolicy(DepthKAhead):
+    """The pipeline with a per-file adaptive depth controller.
 
-    Wraps a :class:`DepthKAhead` pipeline and retunes its depth from the
-    handle's own :class:`~repro.obs.stats.PrefetchStats`.  Every
-    *window* classified demand reads (hit + partial + miss deltas since
-    the last evaluation) the controller computes the useful fraction
+    Retunes :attr:`depth` from the handle's own
+    :class:`~repro.obs.stats.PrefetchStats`.  Every *window* classified
+    demand reads (hit + partial + miss deltas since the last evaluation)
+    the controller computes the useful fraction
     ``(hits + partials) / classified`` over the window and moves depth
     one step:
 
@@ -389,8 +273,6 @@ class AdaptivePolicy(PrefetchPolicy):
       and issue overhead.  Every depth reduction bumps
       ``stats.throttled``.
     """
-
-    name = "adaptive"
 
     def __init__(
         self,
@@ -417,69 +299,33 @@ class AdaptivePolicy(PrefetchPolicy):
         self.window = window
         self.raise_threshold = raise_threshold
         self.lower_threshold = lower_threshold
-        self.depth = initial_depth
-        self.inner = DepthKAhead(
-            depth=max(1, initial_depth),
-            quota_bytes=quota_bytes,
-            detector=detector,
-            batch=batch,
+        super().__init__(
+            depth=initial_depth, quota_bytes=quota_bytes, detector=detector, batch=batch
         )
         #: (hits, partial_hits, misses, skipped_oom) at the last window edge.
         self._snapshot: Tuple[int, int, int, int] = (0, 0, 0, 0)
-
-    # -- exposure of the inner pipeline's knobs --------------------------
-
-    @property
-    def detector(self) -> Optional[StrideDetector]:
-        return self.inner.detector
-
-    @property
-    def quota_bytes(self) -> Optional[int]:
-        return self.inner.quota_bytes
-
-    @property
-    def batch(self) -> int:
-        return self.inner.batch
 
     def set_depth(self, depth: int) -> None:
         """Manual/tuner override: clamp into [min_depth, max_depth]."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
         self.depth = min(max(depth, self.min_depth), self.max_depth)
-        if self.depth >= 1:
-            self.inner.set_depth(self.depth)
 
     def set_max_depth(self, max_depth: int) -> None:
         """Tuner knob: move the depth envelope, clamping current depth."""
         if max_depth < max(1, self.min_depth):
             raise ValueError("max_depth must be >= max(1, min_depth)")
         self.max_depth = max_depth
-        if self.depth > max_depth:
-            self.depth = max_depth
-            if self.depth >= 1:
-                self.inner.set_depth(self.depth)
-
-    def set_quota(self, quota_bytes: Optional[int]) -> None:
-        self.inner.set_quota(quota_bytes)
-
-    def set_batch(self, batch: int) -> None:
-        self.inner.set_batch(batch)
+        self.depth = min(self.depth, max_depth)
 
     # -- planning --------------------------------------------------------
 
     def plan(self, handle, offset, nbytes, prefetcher):
         if prefetcher is not None:
-            self._maybe_retune(handle, nbytes, prefetcher)
-        if self.depth < 1:
-            # Keep the detector warm while prefetching is paused so a
-            # later probe starts from a confident prediction.
-            if self.inner.detector is not None:
-                self.inner.detector.observe(offset, nbytes)
-            return []
-        self.inner.set_depth(self.depth)
-        return self.inner.plan(handle, offset, nbytes, prefetcher)
+            self._maybe_retune(nbytes, prefetcher)
+        return super().plan(handle, offset, nbytes, prefetcher)
 
-    def _maybe_retune(self, handle, nbytes, prefetcher) -> None:
+    def _maybe_retune(self, nbytes, prefetcher) -> None:
         stats = prefetcher.stats
         current = (stats.hits, stats.partial_hits, stats.misses, stats.skipped_oom)
         dh = current[0] - self._snapshot[0]
@@ -502,28 +348,17 @@ class AdaptivePolicy(PrefetchPolicy):
             new = min(self.max_depth, self.depth + 1)
         if new < self.depth:
             stats.throttled += 1
-        if new != self.depth:
-            self.depth = new
-            if new >= 1:
-                self.inner.set_depth(new)
+        self.depth = new
 
     def _room_to_grow(self, nbytes: int, prefetcher) -> bool:
         """Occupancy gate: does a deeper pipeline fit quota and memory?"""
         projected = (self.depth + 1) * nbytes
-        quota = self.inner.quota_bytes
-        if quota is not None and projected > quota:
+        if self.quota_bytes is not None and projected > self.quota_bytes:
             return False
-        blist = getattr(prefetcher, "_list", None)
+        blist = prefetcher._list
         if blist is not None and not blist.can_issue(nbytes):
             return False
         return True
-
-    def __repr__(self) -> str:
-        return (
-            f"<AdaptivePolicy depth={self.depth} "
-            f"[{self.min_depth}, {self.max_depth}] window={self.window} "
-            f"inner={self.inner!r}>"
-        )
 
 
 def make_policy(
@@ -533,22 +368,24 @@ def make_policy(
     stride_detect: bool = True,
     batch: int = 1,
     max_depth: Optional[int] = None,
-) -> PrefetchPolicy:
-    """Policy registry keyed by the :class:`~repro.config.MachineConfig`
-    ``prefetch_policy`` name.
+) -> DepthKAhead:
+    """The pipeline preset keyed by the
+    :class:`~repro.config.MachineConfig` ``prefetch_policy`` name.
 
-    ``make_policy("one-ahead", depth=1)`` builds exactly the paper's
-    prototype -- the default configuration stays bit-identical to the
-    seed (golden-locked).  *stride_detect* attaches a
-    :class:`StrideDetector` to the depth-aware policies; *max_depth*
-    bounds the adaptive controller (default ``max(4, depth)``).
+    - ``"none"``: ``DepthKAhead(depth=0)``, prefetching off;
+    - ``"one-ahead"``: ``DepthKAhead(depth=max(1, depth))`` with no
+      detector and no quota -- at ``depth=1`` exactly the paper's
+      prototype, so the default configuration stays bit-identical to
+      the seed (golden-locked);
+    - ``"depth-k"``: the pipeline with *quota_bytes*, *batch* and (with
+      *stride_detect*) a :class:`StrideDetector`;
+    - ``"adaptive"``: the same knobs under :class:`AdaptivePolicy`,
+      whose depth envelope *max_depth* defaults to ``max(4, depth)``.
     """
     if name == "none":
-        return NoPrefetch()
+        return DepthKAhead(depth=0)
     if name == "one-ahead":
-        return OneRequestAhead(depth=max(1, depth))
-    if name == "strided":
-        return StridedPolicy(depth=max(1, depth))
+        return DepthKAhead(depth=max(1, depth))
     detector = StrideDetector() if stride_detect else None
     if name == "depth-k":
         return DepthKAhead(depth=depth, quota_bytes=quota_bytes, detector=detector, batch=batch)

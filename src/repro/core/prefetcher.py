@@ -25,17 +25,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.policies import NoPrefetch, OneRequestAhead, PrefetchPolicy
+from repro.core.policies import DepthKAhead
 from repro.core.prefetch_buffer import (
     BufferState,
     OutOfMemoryError,
     PrefetchBuffer,
     PrefetchBufferList,
 )
-from repro.core.stats import PrefetchStats
+from repro.obs.monitor import Monitor
+from repro.obs.stats import PrefetchStats
 from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext
-from repro.obs.monitor import Monitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pfs.client import PFSFileHandle
@@ -50,7 +50,8 @@ class Prefetcher:
     Parameters
     ----------
     policy:
-        What to fetch ahead; defaults to the paper's one-request-ahead.
+        What to fetch ahead; defaults to ``DepthKAhead(1)``, the paper's
+        one-request-ahead prototype.
     retain_consumed:
         Keep consumed buffers' memory until close (the paper's literal
         buffer lifecycle; off by default, see prefetch_buffer docs).
@@ -60,12 +61,12 @@ class Prefetcher:
 
     def __init__(
         self,
-        policy: Optional[PrefetchPolicy] = None,
+        policy: Optional[DepthKAhead] = None,
         retain_consumed: bool = False,
         gc_stale: bool = True,
         monitor: Optional[Monitor] = None,
     ) -> None:
-        self.policy = policy or OneRequestAhead()
+        self.policy = policy if policy is not None else DepthKAhead(1)
         self.retain_consumed = retain_consumed
         self.gc_stale = gc_stale
         self.monitor = monitor
@@ -128,19 +129,9 @@ class Prefetcher:
             raise RuntimeError("prefetcher not attached to an open handle")
         return self._list
 
-    @property
-    def _batched(self) -> bool:
-        """True when the policy coalesces adjacent ranges (batch > 1),
-        enabling partial buffer consumption on the hit path."""
-        return getattr(self.policy, "batch", 1) > 1
-
     def set_depth(self, depth: int) -> None:
-        """Reconfigure the policy's pipeline depth (depth-aware policies
-        only; raises TypeError for policies without the knob)."""
-        setter = getattr(self.policy, "set_depth", None)
-        if setter is None:
-            raise TypeError(f"policy {self.policy!r} has no depth knob")
-        setter(depth)
+        """Reconfigure the policy's pipeline depth."""
+        self.policy.set_depth(depth)
 
     # -- the demand path ----------------------------------------------------
 
@@ -204,7 +195,7 @@ class Prefetcher:
                 yield from handle.node.memcpy(nbytes)
                 tracer.end(copy_span)
                 self._account_overlap(handle, buffer, arrival, nbytes)
-                if buffer.end > offset + nbytes and self._batched:
+                if buffer.end > offset + nbytes and self.policy.batch > 1:
                     # A coalesced (batch > 1) buffer spans several future
                     # requests: consume only the served head and keep the
                     # remainder READY for the next demand read.
@@ -228,12 +219,9 @@ class Prefetcher:
     ):
         tracer = handle.client.tracer
         blist = self.buffer_list
+        # The plan never overlaps a live buffer: the policy filters and
+        # counts duplicates (stats.skipped_duplicate).
         for start, length in self.policy.plan(handle, offset, nbytes, self):
-            if length <= 0:
-                continue
-            if blist.overlaps_range(start, length):
-                self.stats.skipped_duplicate += 1
-                continue
             try:
                 buffer = blist.issue(start, length)
             except OutOfMemoryError:
@@ -372,12 +360,3 @@ class Prefetcher:
     def __repr__(self) -> str:
         return f"<Prefetcher policy={self.policy!r} {self.stats.summary()}>"
 
-
-def make_prefetcher(
-    enabled: bool = True,
-    depth: int = 1,
-    monitor: Optional[Monitor] = None,
-) -> Prefetcher:
-    """Convenience factory: the paper's prototype or a disabled stub."""
-    policy = OneRequestAhead(depth=depth) if enabled else NoPrefetch()
-    return Prefetcher(policy=policy, monitor=monitor)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.policies import AdaptivePolicy, DepthKAhead
+from repro.core.policies import AdaptivePolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.prefetcher import Prefetcher
@@ -172,45 +172,40 @@ class OnlineTuner:
             elif thriving and dp > 0 and policy.max_depth < cfg.max_depth:
                 self._record(rank, "max_depth", policy.max_depth, policy.max_depth + 1)
                 policy.set_max_depth(policy.max_depth + 1)
-        elif isinstance(policy, DepthKAhead):
-            if struggling and policy.depth > cfg.min_depth:
-                self._record(rank, "depth", policy.depth, policy.depth - 1)
-                policy.set_depth(policy.depth - 1)
-            elif thriving and dp > 0 and policy.depth < cfg.max_depth:
-                self._record(rank, "depth", policy.depth, policy.depth + 1)
-                policy.set_depth(policy.depth + 1)
+        elif struggling and policy.depth > cfg.min_depth:
+            self._record(rank, "depth", policy.depth, policy.depth - 1)
+            policy.set_depth(policy.depth - 1)
+        elif thriving and dp > 0 and policy.depth < cfg.max_depth:
+            self._record(rank, "depth", policy.depth, policy.depth + 1)
+            policy.set_depth(policy.depth + 1)
 
         # -- buffer quota --------------------------------------------------
-        quota = getattr(policy, "quota_bytes", None)
-        setter = getattr(policy, "set_quota", None)
-        if setter is not None:
-            if doom > 0:
-                base = quota if quota is not None else cfg.quota_ceiling_bytes
-                new_quota = max(cfg.quota_floor_bytes, base // 2)
-                if new_quota != quota:
-                    self._record(rank, "quota_bytes", quota, new_quota)
-                    setter(new_quota)
-            elif thriving and quota is not None and quota < cfg.quota_ceiling_bytes:
-                new_quota = min(cfg.quota_ceiling_bytes, quota * 2)
+        quota = policy.quota_bytes
+        if doom > 0:
+            base = quota if quota is not None else cfg.quota_ceiling_bytes
+            new_quota = max(cfg.quota_floor_bytes, base // 2)
+            if new_quota != quota:
                 self._record(rank, "quota_bytes", quota, new_quota)
-                setter(new_quota)
+                policy.set_quota(new_quota)
+        elif thriving and quota is not None and quota < cfg.quota_ceiling_bytes:
+            new_quota = min(cfg.quota_ceiling_bytes, quota * 2)
+            self._record(rank, "quota_bytes", quota, new_quota)
+            policy.set_quota(new_quota)
 
         # -- request size (batching of adjacent ranges) --------------------
-        batch = getattr(policy, "batch", None)
-        set_batch = getattr(policy, "set_batch", None)
-        if batch is not None and set_batch is not None:
-            det = getattr(policy, "detector", None)
-            # Adjacent planning only happens on contiguous sequential
-            # streams (stride == request size); anywhere else a bigger
-            # batch is a no-op at best, so fold it back to 1.
-            sequential = det is not None and det.confident and det.stride == nbytes
-            if (struggling or not sequential) and batch > 1:
-                self._record(rank, "batch", batch, 1)
-                set_batch(1)
-            elif thriving and sequential and batch < cfg.max_batch:
-                new_batch = min(cfg.max_batch, batch * 2)
-                self._record(rank, "batch", batch, new_batch)
-                set_batch(new_batch)
+        batch = policy.batch
+        det = policy.detector
+        # Adjacent planning only happens on contiguous sequential
+        # streams (stride == request size); anywhere else a bigger
+        # batch is a no-op at best, so fold it back to 1.
+        sequential = det is not None and det.confident and det.stride == nbytes
+        if (struggling or not sequential) and batch > 1:
+            self._record(rank, "batch", batch, 1)
+            policy.set_batch(1)
+        elif thriving and sequential and batch < cfg.max_batch:
+            new_batch = min(cfg.max_batch, batch * 2)
+            self._record(rank, "batch", batch, new_batch)
+            policy.set_batch(new_batch)
 
     # -- reporting -------------------------------------------------------
 

@@ -23,13 +23,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import (
-    AdaptivePolicy,
-    NoPrefetch,
-    OneRequestAhead,
-    Prefetcher,
-    StridedPolicy,
-)
+from repro.core import AdaptivePolicy, Prefetcher, make_policy
 from repro.experiments.common import (
     KB,
     MB,
@@ -129,7 +123,7 @@ def run_depth_ablation(
             compute_delay=compute_delay,
             prefetch=True,
             rounds=rounds,
-            policy_factory=lambda depth=depth: OneRequestAhead(depth=depth),
+            prefetch_depth=depth,
         )
         assert report.prefetch is not None
         table.add_row(
@@ -201,13 +195,12 @@ def _pattern_run(
     mount = machine.mount("/pfs", PFSConfig())
     machine.create_file(mount, "data", file_size)
 
-    policies = {
-        "none": lambda: NoPrefetch(),
-        "one-ahead": lambda: OneRequestAhead(),
-        "strided": lambda: StridedPolicy(),
-        "adaptive": lambda: AdaptivePolicy(window=6),
-    }
-    prefetchers = [Prefetcher(policies[policy_name]()) for _ in range(8)]
+    def policy():
+        if policy_name == "adaptive":
+            return AdaptivePolicy(window=6)
+        return make_policy(policy_name)
+
+    prefetchers = [Prefetcher(policy()) for _ in range(8)]
 
     patterns = {
         "sequential": lambda rank: StridedPattern(
@@ -271,15 +264,16 @@ def run_policy_ablation(compute_delay: float = 0.05) -> ExperimentTable:
     """Policies vs access patterns.
 
     - one-ahead wins on sequential, wastes work on strided/random;
-    - strided detection recovers the strided pattern;
-    - adaptive throttles itself on random access instead of thrashing.
+    - depth-k's stride detection recovers the strided pattern;
+    - on random access every preset wastes about as much as one-ahead:
+      adaptive's ``min_depth=1`` cannot pause the pipeline.
     """
     table = ExperimentTable(
         title="Ablation: prefetch policy vs access pattern (M_ASYNC, 64KB)",
         columns=["pattern", "policy", "bw_mbps", "coverage", "wasted"],
     )
     for pattern in ("sequential", "strided", "random"):
-        for policy in ("none", "one-ahead", "strided", "adaptive"):
+        for policy in ("none", "one-ahead", "depth-k", "adaptive"):
             bw, stats = _pattern_run(pattern, policy, compute_delay=compute_delay)
             table.add_row(
                 pattern,
@@ -375,7 +369,7 @@ def run_prefetch_location_ablation(
             compute_delay=compute_delay,
             rounds=rounds,
             prefetcher_factory=(
-                (lambda rank: Prefetcher(OneRequestAhead())) if client_prefetch else None
+                (lambda rank: Prefetcher()) if client_prefetch else None
             ),
         )
         report = workload.run().report
@@ -505,7 +499,7 @@ def run_multiprogramming_ablation(
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "fileA", file_size)
         machine.create_file(mount, "fileB", file_size)
-        prefetchers = [Prefetcher(OneRequestAhead()) for _ in range(4)]
+        prefetchers = [Prefetcher() for _ in range(4)]
 
         handles_a = [None] * 4
 
@@ -605,7 +599,7 @@ def check_ablation_shapes(
         rows = {(r[0], r[1]): r[2] for r in policies.rows}
         if rows[("sequential", "one-ahead")] <= rows[("sequential", "none")]:
             return "one-ahead did not help sequential access"
-        if rows[("strided", "strided")] <= rows[("strided", "one-ahead")]:
+        if rows[("strided", "depth-k")] <= rows[("strided", "one-ahead")]:
             return "stride detection did not beat one-ahead on strided access"
     return None
 

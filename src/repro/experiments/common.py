@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import OneRequestAhead, Prefetcher
-from repro.core.policies import PrefetchPolicy
+from repro.core import Prefetcher
 from repro.machine import Machine
 from repro.metrics import BandwidthReport
 from repro.pfs import IOMode
@@ -156,33 +155,14 @@ def build_machine(
     return machine, mount
 
 
-def prefetcher_factory(
-    enabled: bool,
-    policy_factory: Optional[Callable[[], PrefetchPolicy]] = None,
-    machine: Optional[Machine] = None,
-) -> Optional[Callable[[int], Prefetcher]]:
+def prefetcher_factory(enabled: bool, machine: Machine) -> Optional[Callable[[int], Prefetcher]]:
     """Per-rank prefetcher factory (None when disabled).
 
-    An explicit *policy_factory* wins; otherwise, given a *machine*, the
-    factory routes through :meth:`Machine.build_prefetcher` so the
-    machine's ``prefetch_policy`` / ``prefetch_depth`` / tuner knobs
-    apply (the default knobs build exactly the paper's prototype).
+    Routes through :meth:`Machine.build_prefetcher`, so the machine's
+    ``prefetch_policy`` / ``prefetch_depth`` / tuner knobs apply (the
+    default knobs build exactly the paper's prototype).
     """
-    if not enabled:
-        return None
-    if policy_factory is not None:
-
-        def make(rank: int) -> Prefetcher:
-            return Prefetcher(policy_factory())
-
-        return make
-    if machine is not None:
-        return machine.build_prefetcher
-
-    def make_default(rank: int) -> Prefetcher:
-        return Prefetcher(OneRequestAhead())
-
-    return make_default
+    return machine.build_prefetcher if enabled else None
 
 
 def run_collective(
@@ -196,7 +176,6 @@ def run_collective(
     n_compute: int = 8,
     n_io: int = 8,
     rounds: Optional[int] = None,
-    policy_factory: Optional[Callable[[], PrefetchPolicy]] = None,
     buffered: bool = False,
     async_partition: bool = True,
     hardware=None,
@@ -253,7 +232,7 @@ def run_collective(
         compute_delay=compute_delay,
         iomode=iomode,
         rounds=rounds,
-        prefetcher_factory=prefetcher_factory(prefetch, policy_factory, machine=machine),
+        prefetcher_factory=prefetcher_factory(prefetch, machine),
         async_partition=async_partition,
     )
     report = workload.run().report
@@ -294,7 +273,7 @@ def run_separate_files(
         "data",
         request_size=request_size,
         compute_delay=compute_delay,
-        prefetcher_factory=prefetcher_factory(prefetch, machine=machine),
+        prefetcher_factory=prefetcher_factory(prefetch, machine),
     )
     return workload.run().report
 
@@ -309,7 +288,6 @@ def run_strided(
     n_io: int = 8,
     stripe_unit: int = 64 * KB,
     rounds: Optional[int] = None,
-    policy_factory: Optional[Callable[[], PrefetchPolicy]] = None,
     tie_break: str = "fifo",
     keep_machine: bool = False,
     faults=None,
@@ -345,7 +323,7 @@ def run_strided(
         stride=stride,
         compute_delay=compute_delay,
         rounds=rounds,
-        prefetcher_factory=prefetcher_factory(prefetch, policy_factory, machine=machine),
+        prefetcher_factory=prefetcher_factory(prefetch, machine),
     )
     report = workload.run().report
     if keep_machine:
@@ -401,7 +379,7 @@ def run_multipass(
             request_size=request_size,
             iomode=iomode,
             rounds=rounds,
-            prefetcher_factory=prefetcher_factory(prefetch),
+            prefetcher_factory=prefetcher_factory(prefetch, machine),
         )
         result = workload.run()
         total_bytes += result.report.total_bytes

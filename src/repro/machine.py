@@ -384,8 +384,8 @@ class Machine:
         ``prefetch_depth`` / ``prefetch_quota_bytes`` /
         ``prefetch_stride_detect``) and, when the online tuner is
         enabled, attaches the prefetcher to it.  The default config
-        yields exactly the paper's prototype
-        (``Prefetcher(OneRequestAhead())``), so factory call sites that
+        yields exactly the paper's prototype (``DepthKAhead(1)``, the
+        policy of a bare ``Prefetcher()``), so factory call sites that
         route through here stay bit-identical to the seed.
 
         The keyword overrides let one machine serve *heterogeneous*

@@ -1,8 +1,7 @@
 """Unified observability subsystem: stats, tracing, exporters.
 
-One package replaces the three historically disjoint instrumentation
-APIs (``repro.sim.monitor`` stats, ``repro.core.stats`` prefetch
-counters, ad-hoc per-component accounting):
+One package holds every instrumentation API -- kernel stats, prefetch
+counters and per-component accounting:
 
 - :mod:`repro.obs.monitor` -- counters / time-weighted / series stats;
 - :mod:`repro.obs.trace` -- request-scoped typed spans with causal links
@@ -18,8 +17,6 @@ counters, ad-hoc per-component accounting):
   per-run :class:`BottleneckReport`;
 - :mod:`repro.obs.observability` -- the :class:`Observability` facade a
   :class:`~repro.machine.Machine` exposes as ``machine.obs``.
-
-``repro.sim.monitor`` and ``repro.core.stats`` remain as import shims.
 """
 
 from repro.obs.export import (

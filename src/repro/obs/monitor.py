@@ -1,8 +1,7 @@
 """Aggregate statistics: counters, time-weighted signals, sample series.
 
-Historically this lived at ``repro.sim.monitor``; it is now part of the
-unified observability subsystem (``repro.obs``) alongside the tracer.
-``repro.sim.monitor`` remains as a compatibility shim.
+Part of the unified observability subsystem (``repro.obs``) alongside
+the tracer; :mod:`repro.sim` re-exports the classes the kernel uses.
 
 Models register named statistics on a :class:`Monitor`:
 

@@ -1,9 +1,5 @@
 """Prefetching statistics.
 
-Historically this lived at ``repro.core.stats``; it is now part of the
-unified observability subsystem (``repro.obs``).  ``repro.core.stats``
-remains as a compatibility shim.
-
 Paper section 4: "When a prefetched block is used to serve a future
 request from the application, we say that there is a hit on that block.
 Although hit ratio serves as a good measure of performance in a

@@ -21,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence, Tuple
 
 from repro.core.policies import POLICY_NAMES
@@ -35,6 +36,44 @@ ARRIVAL_KINDS = ("staggered", "uniform", "poisson")
 #: The mixed-mode rotation used by :func:`mixed_scenario` (the modes the
 #: ROADMAP names for multi-tenant traffic).
 MIXED_MODES = ("M_RECORD", "M_SYNC", "M_UNIX", "M_ASYNC")
+
+
+#: A Poisson gap is at most ``-log(2**-56)`` (< 39) mean gaps, the
+#: largest :func:`unit_uniform` draw allows.
+_MAX_POISSON_GAPS = 39.0
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` is a bool in Python, not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite JSON number that fits a float (no NaN, no infinity)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _from_plain(cls, data, what: str):
+    """``cls(**data)`` with unknown, missing and non-object input
+    reported as ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}")
+    missing = [
+        name
+        for name, f in known.items()
+        if name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"{what} is missing key(s) {missing}")
+    return cls(**data)
 
 
 def unit_uniform(seed: int, stream: str, k: int) -> float:
@@ -70,10 +109,12 @@ class ArrivalProcess:
     def __post_init__(self) -> None:
         if self.kind not in ARRIVAL_KINDS:
             raise ValueError(f"arrival kind must be one of {ARRIVAL_KINDS}, got {self.kind!r}")
-        if self.start_s < 0:
-            raise ValueError("arrival start must be non-negative")
-        if self.interval_s < 0:
-            raise ValueError("arrival interval must be non-negative")
+        if not _is_real(self.start_s) or self.start_s < 0:
+            raise ValueError(f"arrival start must be finite and non-negative, got {self.start_s!r}")
+        if not _is_real(self.interval_s) or self.interval_s < 0:
+            raise ValueError(
+                f"arrival interval must be finite and non-negative, got {self.interval_s!r}"
+            )
 
     def offsets(self, n_jobs: int, seed: int, stream: str) -> Tuple[float, ...]:
         """The start offset of every job, seeded and wall-clock-free."""
@@ -127,26 +168,35 @@ class Tenant:
     arrival: ArrivalProcess = field(default_factory=ArrivalProcess)
 
     def __post_init__(self) -> None:
-        if not self.name or "/" in self.name:
+        if not isinstance(self.name, str) or not self.name or "/" in self.name:
             raise ValueError("tenant name must be non-empty and slash-free")
-        if self.iomode not in IOMode.__members__:
+        if not isinstance(self.iomode, str) or self.iomode not in IOMode.__members__:
             raise ValueError(
                 f"iomode must be one of {tuple(IOMode.__members__)}, got {self.iomode!r}"
             )
         for attr in ("n_jobs", "nprocs", "request_kb", "rounds", "files_per_job",
                      "stripe_factor", "stripe_unit_kb"):
-            if getattr(self, attr) < 1:
-                raise ValueError(f"tenant {self.name!r}: {attr} must be >= 1")
-        if self.stripe_base is not None and self.stripe_base < 0:
-            raise ValueError(f"tenant {self.name!r}: stripe_base must be >= 0")
-        if self.compute_delay_s < 0:
-            raise ValueError(f"tenant {self.name!r}: compute delay must be non-negative")
+            if not _is_int(getattr(self, attr)) or getattr(self, attr) < 1:
+                raise ValueError(f"tenant {self.name!r}: {attr} must be an integer >= 1")
+        if self.stripe_base is not None and (not _is_int(self.stripe_base) or self.stripe_base < 0):
+            raise ValueError(f"tenant {self.name!r}: stripe_base must be an integer >= 0")
+        if not _is_real(self.compute_delay_s) or self.compute_delay_s < 0:
+            raise ValueError(f"tenant {self.name!r}: compute delay must be finite and non-negative")
+        if not isinstance(self.prefetch, bool):
+            raise ValueError(f"tenant {self.name!r}: prefetch must be true or false")
         if self.prefetch_policy not in POLICY_NAMES:
             raise ValueError(
                 f"tenant {self.name!r}: prefetch_policy must be one of {POLICY_NAMES}"
             )
-        if self.prefetch_depth < 0:
-            raise ValueError(f"tenant {self.name!r}: prefetch_depth must be >= 0")
+        if not _is_int(self.prefetch_depth) or self.prefetch_depth < 0:
+            raise ValueError(f"tenant {self.name!r}: prefetch_depth must be an integer >= 0")
+        arrival = self.arrival
+        if not isinstance(arrival, ArrivalProcess):
+            raise ValueError(f"tenant {self.name!r}: arrival must be an ArrivalProcess")
+        if arrival.interval_s > 0 and self.n_jobs > (sys.float_info.max - arrival.start_s) / (
+            _MAX_POISSON_GAPS * arrival.interval_s
+        ):
+            raise ValueError(f"tenant {self.name!r}: arrival offsets could overflow a float")
 
     @property
     def mode(self) -> IOMode:
@@ -187,8 +237,18 @@ class Scenario:
         # Tolerate lists from JSON loads.
         if not isinstance(self.tenants, tuple):
             object.__setattr__(self, "tenants", tuple(self.tenants))
+        if not isinstance(self.name, str):
+            raise ValueError(f"scenario name must be a string, got {self.name!r}")
+        if not all(isinstance(t, Tenant) for t in self.tenants):
+            raise ValueError("scenario tenants must be Tenant objects")
+        if not (_is_int(self.n_compute) and _is_int(self.n_io)):
+            raise ValueError("scenario node counts must be integers")
         if self.n_compute < 1 or self.n_io < 1:
             raise ValueError("scenario needs at least one compute and one I/O node")
+        if not _is_int(self.seed) or not isinstance(self.telemetry, bool):
+            raise ValueError("scenario seed must be an integer and telemetry true or false")
+        if not _is_int(self.block_kb) or self.block_kb < 1:
+            raise ValueError("scenario block_kb must be an integer >= 1")
         if not self.tenants:
             raise ValueError("scenario needs at least one tenant")
         names = [t.name for t in self.tenants]
@@ -249,18 +309,28 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Build from plain data (a JSON load); any malformed input
+        raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"scenario must be a JSON object, got {data!r}")
         data = dict(data)
+        entries = data.get("tenants", ())
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"scenario tenants must be a list, got {entries!r}")
         tenants = []
-        for entry in data.pop("tenants", ()):
-            entry = dict(entry)
-            arrival = entry.pop("arrival", None)
-            if arrival is not None:
-                entry["arrival"] = ArrivalProcess(**arrival)
-            tenants.append(Tenant(**entry))
-        return cls(tenants=tuple(tenants), **data)
+        for entry in entries:
+            if isinstance(entry, dict) and "arrival" in entry:
+                entry = dict(entry)
+                arrival = entry.pop("arrival")
+                if arrival is not None:
+                    entry["arrival"] = _from_plain(ArrivalProcess, arrival, "arrival")
+            tenants.append(_from_plain(Tenant, entry, "tenant"))
+        data["tenants"] = tuple(tenants)
+        return _from_plain(cls, data, "scenario")
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
+        """Parse a scenario file's text; every rejection is ValueError."""
         return cls.from_dict(json.loads(text))
 
     @classmethod

@@ -7,13 +7,10 @@ from repro.core import (
     AdaptivePolicy,
     BufferState,
     DepthKAhead,
-    NoPrefetch,
-    OneRequestAhead,
     Prefetcher,
     PrefetchBufferList,
     PrefetchStats,
     StrideDetector,
-    StridedPolicy,
     make_policy,
 )
 from repro.hardware.memory import MemoryRegion, OutOfMemoryError
@@ -183,34 +180,34 @@ class _FakeHandle:
 
 class TestPolicies:
     def test_no_prefetch_plans_nothing(self):
-        policy = NoPrefetch()
+        policy = make_policy("none")
         handle = _FakeHandle(IOMode.M_RECORD, 0, 8, 1 * MB, 64 * KB)
         assert policy.plan(handle, 0, 64 * KB, None) == []
 
     def test_one_ahead_targets_next_record(self):
-        policy = OneRequestAhead()
+        policy = DepthKAhead(1)
         handle = _FakeHandle(IOMode.M_RECORD, 2, 8, 100 * MB, 8 * 64 * KB + 2 * 64 * KB)
         plans = policy.plan(handle, 2 * 64 * KB, 64 * KB, None)
         assert plans == [(8 * 64 * KB + 2 * 64 * KB, 64 * KB)]
 
     def test_one_ahead_clamps_at_eof(self):
-        policy = OneRequestAhead()
+        policy = DepthKAhead(1)
         handle = _FakeHandle(IOMode.M_RECORD, 0, 1, 96 * KB, 64 * KB)
         plans = policy.plan(handle, 0, 64 * KB, None)
         assert plans == [(64 * KB, 32 * KB)]
 
     def test_one_ahead_empty_past_eof(self):
-        policy = OneRequestAhead()
+        policy = DepthKAhead(1)
         handle = _FakeHandle(IOMode.M_RECORD, 0, 1, 64 * KB, 64 * KB)
         assert policy.plan(handle, 0, 64 * KB, None) == []
 
     def test_one_ahead_none_when_unpredictable(self):
-        policy = OneRequestAhead()
+        policy = DepthKAhead(1)
         handle = _FakeHandle(IOMode.M_UNIX, 0, 8, 1 * MB, None)
         assert policy.plan(handle, 0, 64 * KB, None) == []
 
     def test_depth_plans_consecutive_records(self):
-        policy = OneRequestAhead(depth=3)
+        policy = DepthKAhead(depth=3)
         handle = _FakeHandle(IOMode.M_RECORD, 0, 4, 100 * MB, 4 * 64 * KB)
         plans = policy.plan(handle, 0, 64 * KB, None)
         stride = 4 * 64 * KB
@@ -222,28 +219,13 @@ class TestPolicies:
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
-            OneRequestAhead(depth=0)
-
-    def test_strided_needs_confirmations(self):
-        policy = StridedPolicy(min_confirmations=2)
-        handle = _FakeHandle(IOMode.M_ASYNC, 0, 1, 100 * MB, None)
-        assert policy.plan(handle, 0, 4 * KB, None) == []
-        assert policy.plan(handle, 10 * KB, 4 * KB, None) == []  # stride seen once
-        plans = policy.plan(handle, 20 * KB, 4 * KB, None)  # stride seen twice
-        assert plans == [(30 * KB, 4 * KB)]
-
-    def test_strided_resets_on_pattern_change(self):
-        policy = StridedPolicy(min_confirmations=2)
-        handle = _FakeHandle(IOMode.M_ASYNC, 0, 1, 100 * MB, None)
-        for off in [0, 10 * KB, 20 * KB, 30 * KB]:
-            policy.plan(handle, off, 4 * KB, None)
-        assert policy.plan(handle, 100 * KB, 4 * KB, None) == []  # stride broke
+            DepthKAhead(depth=-1)
 
     def test_depth_k_at_depth_one_matches_one_ahead(self):
         handle = _FakeHandle(IOMode.M_RECORD, 2, 8, 100 * MB, 8 * 64 * KB + 2 * 64 * KB)
-        static = OneRequestAhead().plan(handle, 2 * 64 * KB, 64 * KB, None)
+        one_ahead = make_policy("one-ahead").plan(handle, 2 * 64 * KB, 64 * KB, None)
         depth_k = DepthKAhead(depth=1).plan(handle, 2 * 64 * KB, 64 * KB, None)
-        assert depth_k == static == [(8 * 64 * KB + 2 * 64 * KB, 64 * KB)]
+        assert depth_k == one_ahead == [(8 * 64 * KB + 2 * 64 * KB, 64 * KB)]
 
     def test_depth_k_quota_caps_planning(self):
         policy = DepthKAhead(depth=4, quota_bytes=2 * 64 * KB)
@@ -343,16 +325,20 @@ class TestPolicies:
             AdaptivePolicy(min_depth=3, initial_depth=2)
 
     def test_make_policy_registry(self):
-        assert isinstance(make_policy("none"), NoPrefetch)
-        one = make_policy("one-ahead", depth=1)
-        assert isinstance(one, OneRequestAhead) and one.depth == 1
+        none = make_policy("none", depth=3)
+        assert type(none) is DepthKAhead and none.depth == 0
+        one = make_policy("one-ahead", depth=1, quota_bytes=64 * KB)
+        assert type(one) is DepthKAhead and one.depth == 1
+        assert one.detector is None and one.quota_bytes is None and one.batch == 1
+        assert make_policy("one-ahead", depth=0).depth == 1
         deep = make_policy("depth-k", depth=3, stride_detect=False)
         assert isinstance(deep, DepthKAhead) and deep.detector is None
         adaptive = make_policy("adaptive", depth=2)
         assert isinstance(adaptive, AdaptivePolicy)
         assert adaptive.depth == 2 and adaptive.detector is not None
-        with pytest.raises(ValueError):
-            make_policy("bogus")
+        for unknown in ("bogus", "strided"):
+            with pytest.raises(ValueError):
+                make_policy(unknown)
 
 
 class TestPrefetchStats:
@@ -427,7 +413,7 @@ class TestPrefetcherIntegration:
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 4 * MB)
 
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher()
         h1 = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
         chunks_pf = []
 
@@ -457,7 +443,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 8 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher()
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def reader():
@@ -479,7 +465,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         pfs_file = machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher()
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def reader():
@@ -496,7 +482,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher()
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
@@ -513,7 +499,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher()
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
@@ -529,7 +515,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead(), monitor=machine.monitor)
+        pf = Prefetcher(monitor=machine.monitor)
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
@@ -553,7 +539,7 @@ class TestPrefetcherIntegration:
         machine = Machine(MachineConfig(n_compute=1, n_io=1, hardware=hw))
         mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead(depth=3))
+        pf = Prefetcher(DepthKAhead(depth=3))
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
@@ -568,7 +554,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 8 * MB)
-        pf = Prefetcher(OneRequestAhead(depth=2))
+        pf = Prefetcher(DepthKAhead(2))
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
@@ -584,7 +570,7 @@ class TestPrefetcherIntegration:
         machine = Machine(MachineConfig(n_compute=4, n_io=4))
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 16 * MB)
-        prefetchers = [Prefetcher(OneRequestAhead()) for _ in range(4)]
+        prefetchers = [Prefetcher() for _ in range(4)]
         handles = [None] * 4
 
         def opener(rank):
@@ -616,7 +602,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 1 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher()
         open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def second_open():

@@ -7,7 +7,7 @@ and finishes with byte-level content checks plus `Machine.verify()`.
 
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import AdaptivePolicy, OneRequestAhead, Prefetcher
+from repro.core import AdaptivePolicy, Prefetcher
 from repro.machine import Machine
 from repro.pfs import IOMode
 from repro.ufs.data import SyntheticData
@@ -47,7 +47,7 @@ class TestMixedWorkloads:
                 IOMode.M_RECORD,
                 rank=rank,
                 nprocs=4,
-                prefetcher=Prefetcher(OneRequestAhead()),
+                prefetcher=Prefetcher(),
             )
             for _ in range(8):
                 yield from handle.node.compute(0.03)
@@ -172,7 +172,7 @@ class TestMixedWorkloads:
         machine = Machine(MachineConfig(n_compute=1, n_io=2))
         mount = machine.mount("/pfs")
         pfs_file = machine.create_file(mount, "data", 2 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher()
 
         def app():
             handle = yield from machine.clients[0].open(

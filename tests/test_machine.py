@@ -122,7 +122,7 @@ class TestVerify:
         assert machine.verify() == []
 
     def test_clean_after_workload(self):
-        from repro.core import OneRequestAhead, Prefetcher
+        from repro.core import Prefetcher
         from repro.workloads import CollectiveReadWorkload
 
         machine = Machine(MachineConfig(n_compute=4, n_io=4))
@@ -134,7 +134,7 @@ class TestVerify:
             "data",
             request_size=64 * KB,
             compute_delay=0.02,
-            prefetcher_factory=lambda r: Prefetcher(OneRequestAhead()),
+            prefetcher_factory=lambda r: Prefetcher(),
         ).run()
         assert machine.verify() == []
 

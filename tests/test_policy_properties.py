@@ -6,13 +6,14 @@ randomly generated streams rather than a handful of examples:
 1. the stride detector recovers any regular (start, stride) pattern
    within its documented warm-up and predicts exactly;
 2. ``DepthKAhead(depth=1)`` with no detector/quota/batch plans exactly
-   what the paper's ``OneRequestAhead`` prototype plans, for every mode,
-   geometry, and offset (plus an end-to-end golden-fingerprint check on
-   the bench3 grid);
+   the paper's one-request-ahead arithmetic (written out below as a
+   reference oracle), for every mode, geometry, and offset (plus an
+   end-to-end golden-fingerprint check on the bench3 grid);
 3. the adaptive controller's depth is monotone non-increasing under a
    forced-miss demand stream and never leaves its envelope;
-4. capped plans never overlap a live prefetch buffer and never push
-   live + planned bytes past the quota.
+4. capped plans never overlap a live prefetch buffer or each other,
+   count every dropped duplicate, and never push live + planned bytes
+   past the quota.
 """
 
 import json
@@ -25,10 +26,11 @@ from repro.analysis.sanitizers import report_fingerprint
 from repro.core import (
     AdaptivePolicy,
     DepthKAhead,
-    OneRequestAhead,
     Prefetcher,
+    PrefetchStats,
     StrideDetector,
 )
+from repro.core.policies import _coalesce
 from repro.core.prefetch_buffer import PrefetchBufferList
 from repro.experiments.common import KB, run_collective, scaled_file_size
 from repro.hardware.memory import MemoryRegion
@@ -59,10 +61,22 @@ class _FakeHandle:
 
 
 class _FakePrefetcher:
-    """Stub carrying just the buffer list the planner consults."""
+    """Stub carrying just the buffer list and stats the planner uses."""
 
     def __init__(self, blist):
         self._list = blist
+        self.stats = PrefetchStats()
+
+
+def _paper_one_ahead(handle, nbytes):
+    """The prototype's prediction, written out: the same process's next
+    request under the current I/O mode, clamped at EOF; nothing in a
+    mode without deterministic offsets."""
+    base = handle.next_read_offset(nbytes)
+    if base is None:
+        return []
+    length = min(nbytes, handle.file.size_bytes - base)
+    return [(base, length)] if length > 0 else []
 
 
 class TestStrideDetectorRecovery:
@@ -138,10 +152,11 @@ class TestDepthOneEquivalence:
     ):
         rank = data.draw(st.integers(min_value=0, max_value=nprocs - 1))
         size = size_blocks * 4 * KB
-        handle = _FakeHandle(mode, rank, nprocs, size, next_block * 4 * KB)
+        # None: a mode without deterministic offsets (M_UNIX on a real handle).
+        next_offset = data.draw(st.sampled_from([None, next_block * 4 * KB]))
+        handle = _FakeHandle(mode, rank, nprocs, size, next_offset)
         bare = DepthKAhead(depth=1)  # no detector, no quota, batch=1
-        proto = OneRequestAhead()
-        assert bare.plan(handle, 0, nbytes, None) == proto.plan(handle, 0, nbytes, None)
+        assert bare.plan(handle, 0, nbytes, None) == _paper_one_ahead(handle, nbytes)
 
     @given(
         nprocs=st.integers(min_value=1, max_value=16),
@@ -157,15 +172,14 @@ class TestDepthOneEquivalence:
         of the prototype, and EOF clamps agree)."""
         size = nprocs * nbytes * 24
         bare = DepthKAhead(depth=1)
-        proto = OneRequestAhead()
+        pf = _FakePrefetcher(None)
         for step in range(rounds):
             offset = step * nprocs * nbytes
             handle = _FakeHandle(
                 IOMode.M_RECORD, 0, nprocs, size, offset + nprocs * nbytes
             )
-            assert bare.plan(handle, offset, nbytes, None) == proto.plan(
-                handle, offset, nbytes, None
-            )
+            assert bare.plan(handle, offset, nbytes, pf) == _paper_one_ahead(handle, nbytes)
+        assert pf.stats.skipped_duplicate == 0
 
     def test_depth_k_at_one_matches_the_golden_grid(self):
         """End-to-end: a depth-k pipeline at k=1 (detector off) is
@@ -249,21 +263,30 @@ class TestPlanSafety:
             max_size=6,
         ),
         batch=st.integers(min_value=1, max_value=4),
+        stride=st.one_of(st.none(), st.integers(min_value=1, max_value=128 * KB)),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_capped_plans_respect_buffers_and_quota(
-        self, depth, nbytes, next_block, quota_blocks, live, batch
+        self, depth, nbytes, next_block, quota_blocks, live, batch, stride
     ):
         env = Environment()
         blist = PrefetchBufferList(env, MemoryRegion(64 * MB))
         for off_blk, len_blk in live:
             blist.issue(off_blk * 64 * KB, len_blk * 64 * KB)
         quota = quota_blocks * 64 * KB if quota_blocks is not None else None
-        policy = DepthKAhead(depth=depth, quota_bytes=quota, batch=batch)
-        handle = _FakeHandle(
-            IOMode.M_ASYNC, 0, 1, 128 * 64 * KB, next_block * 64 * KB
-        )
-        planned = policy.plan(handle, 0, nbytes, _FakePrefetcher(blist))
+        size = 128 * 64 * KB
+        offset = next_block * 64 * KB
+        detector = None
+        if stride is not None:
+            # A confident detector whose stride may be shorter than the
+            # request, so ranges within one plan overlap each other.
+            detector = StrideDetector()
+            detector.observe(offset - 2 * stride)
+            detector.observe(offset - stride)
+        policy = DepthKAhead(depth=depth, quota_bytes=quota, batch=batch, detector=detector)
+        handle = _FakeHandle(IOMode.M_ASYNC, 0, 1, size, offset)
+        pf = _FakePrefetcher(blist)
+        planned = policy.plan(handle, offset, nbytes, pf)
 
         planned_bytes = 0
         for start, length in planned:
@@ -280,6 +303,33 @@ class TestPlanSafety:
         spans = sorted((s, s + n) for s, n in planned)
         for (_, end1), (start2, _) in zip(spans, spans[1:]):
             assert end1 <= start2
+
+        # Reference model: the uncapped candidates (the stride run from
+        # the demand offset, or M_ASYNC arithmetic from the handle's next
+        # offset), then a greedy walk that drops duplicates and stops at
+        # the quota.  Every drop must be counted.
+        first, step = (offset + stride, stride) if stride is not None else (offset, nbytes)
+        candidates = []
+        for k in range(depth):
+            start = first + k * step
+            length = min(nbytes, size - start)
+            if length <= 0:
+                break
+            candidates.append((start, length))
+        kept, dropped, used = [], 0, blist.live_bytes
+        for start, length in _coalesce(candidates, batch):
+            end = start + length
+            if blist.overlaps_range(start, length) or any(
+                s < end and start < s + n for s, n in kept
+            ):
+                dropped += 1
+                continue
+            if quota is not None and used + length > quota:
+                break
+            kept.append((start, length))
+            used += length
+        assert planned == kept
+        assert pf.stats.skipped_duplicate == dropped
 
     @given(
         depth=st.integers(min_value=1, max_value=8),

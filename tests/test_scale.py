@@ -11,8 +11,12 @@ claims (fifo/lifo, sharded vs. in-process, goldens untouched) live in
 """
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import MachineConfig
 from repro.scale import (
@@ -146,6 +150,99 @@ class TestScenarioSchema:
         assert anchor.name == "anchor-64n-8t"
         assert anchor.tie_break == "lifo"
         assert anchor.with_tie_break("fifo") == anchor_scenario("fifo")
+
+
+#: Any JSON value.  Integers stay small so an accepted scenario's
+#: arrival schedule is cheap to compute; floats range over everything
+#: JSON can carry, NaN and the infinities included.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=64)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _scenario_texts(draw):
+    """A valid scenario with a few fields (or whole sections) replaced
+    by arbitrary JSON, or arbitrary JSON outright."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return json.dumps(draw(_JSON_VALUES))
+    doc = json.loads(mixed_scenario(16, 2, stagger_s=0.5).to_json())
+    targets = {
+        "scenario": ([f.name for f in fields(Scenario)] + ["bogus"], lambda: doc),
+        "tenant": (
+            [f.name for f in fields(Tenant)] + ["bogus"],
+            lambda: doc["tenants"][draw(st.integers(min_value=0, max_value=1))],
+        ),
+        "arrival": (
+            [f.name for f in fields(ArrivalProcess)] + ["bogus"],
+            lambda: doc["tenants"][0]["arrival"],
+        ),
+    }
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        keys, section = targets[draw(st.sampled_from(sorted(targets)))]
+        try:
+            target = section()
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit replaced the enclosing section
+        if isinstance(target, dict):
+            target[draw(st.sampled_from(keys))] = draw(_JSON_VALUES)
+    return json.dumps(doc)
+
+
+class TestScenarioJsonFuzz:
+    @given(text=_scenario_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_only_value_error_escapes_and_accepted_offsets_are_sane(self, text):
+        try:
+            scenario = Scenario.from_json(text)
+        except ValueError:
+            return
+        for tenant in scenario.tenants:
+            offsets = tenant.start_offsets(scenario.seed)
+            assert len(offsets) == tenant.n_jobs
+            assert all(math.isfinite(t) and t >= 0 for t in offsets), offsets
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"arrival": {"start_s": math.nan}},
+            {"arrival": {"kind": "poisson", "interval_s": math.inf}},
+            {"arrival": {"interval_s": 1e308}},
+            {"compute_delay_s": math.nan},
+            {"rounds": 2.5},
+            {"prefetch_depth": 2.5},
+            {"n_jobs": True},
+            {"rounds": "4"},
+            {"iomode": []},
+            {"bogus": 1},
+            {"prefetch_policy": "strided"},
+        ],
+    )
+    def test_malformed_tenant_fields_raise_value_error(self, edit):
+        doc = json.loads(mixed_scenario(16, 2).to_json())
+        doc["tenants"][0].update(edit)
+        with pytest.raises(ValueError):
+            Scenario.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("tenants", [5, "t", {"name": "t"}, [3]])
+    def test_malformed_tenant_lists_raise_value_error(self, tenants):
+        doc = json.loads(mixed_scenario(16, 2).to_json())
+        doc["tenants"] = tenants
+        with pytest.raises(ValueError):
+            Scenario.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"scenario"', "null", "{"])
+    def test_non_object_documents_raise_value_error(self, text):
+        with pytest.raises(ValueError):
+            Scenario.from_json(text)
 
 
 class TestPlacement:
