@@ -14,6 +14,7 @@ request size (Table 3).
 Run:  python examples/stripe_tuning.py
 """
 
+from repro.config import PFSConfig
 from repro.experiments.common import run_collective, scaled_file_size
 from repro.pfs import IOMode
 
@@ -46,8 +47,7 @@ def main() -> None:
                 compute_delay=DELAY_S,
                 iomode=IOMode.M_RECORD,
                 prefetch=True,
-                stripe_unit=su_kb * KB,
-                stripe_factor=factor,
+                pfs=PFSConfig(stripe_unit=su_kb * KB, stripe_factor=factor),
             )
             bw = report.collective_bandwidth_mbps
             cells.append(bw)

@@ -9,26 +9,23 @@ structures of data that have been prefetched from that particular file.
 At the time the process closes the file, all the prefetch buffers are
 freed."
 
-One deviation from the prototype, recorded in DESIGN.md: consumed
-buffers release their *memory* immediately (the struct stays on the
-list for statistics).  Retaining every consumed buffer until close --
-the literal reading of the paper -- overflows a 32MB node on the
-paper's own 128MB workloads, so the prototype must have recycled too.
-``retain_consumed=True`` restores the literal behaviour for small runs.
+One deviation from the prototype, recorded in DESIGN.md: a buffer
+releases its memory and leaves the list as soon as it is consumed,
+fails or goes stale, so the list holds only live (in-flight or ready)
+buffers.  Retaining every consumed buffer until close -- the literal
+reading of the paper -- overflows a 32MB node on the paper's own 128MB
+workloads, so the prototype must have recycled too.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.hardware.memory import MemoryRegion, OutOfMemoryError
 from repro.sim import Environment, Event
 from repro.ufs.data import Data
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 _buffer_ids = itertools.count(1)
 
@@ -97,18 +94,22 @@ class PrefetchBuffer:
 
 
 class PrefetchBufferList:
-    """Per-(handle, file) list of prefetch buffers with memory accounting."""
+    """Per-(handle, file) list of live prefetch buffers with memory
+    accounting.
+
+    Only in-flight and ready buffers are listed: a buffer leaves the
+    list when its memory is freed (consumed, failed, discarded as stale
+    or dropped at close), so lookups never scan a handle's history.
+    """
 
     def __init__(
         self,
         env: Environment,
         memory: MemoryRegion,
-        retain_consumed: bool = False,
         alloc_class: str = "prefetch",
     ) -> None:
         self.env = env
         self.memory = memory
-        self.retain_consumed = retain_consumed
         self.alloc_class = alloc_class
         self.buffers: List[PrefetchBuffer] = []
 
@@ -116,29 +117,21 @@ class PrefetchBufferList:
         return len(self.buffers)
 
     @property
-    def live_buffers(self) -> List[PrefetchBuffer]:
-        """Buffers still holding memory (in-flight or ready)."""
-        return [b for b in self.buffers if b.state in (BufferState.IN_FLIGHT, BufferState.READY)]
-
-    @property
     def live_bytes(self) -> int:
         """Bytes currently held by live buffers (prefetch-memory pressure)."""
-        return sum(b.length for b in self.live_buffers)
+        return sum(b.length for b in self.buffers)
 
     def find_covering(self, offset: int, nbytes: int) -> Optional[PrefetchBuffer]:
         """The first live buffer containing the requested range."""
         for buffer in self.buffers:
-            if (
-                buffer.state in (BufferState.IN_FLIGHT, BufferState.READY)
-                and buffer.covers(offset, nbytes)
-            ):
+            if buffer.covers(offset, nbytes):
                 return buffer
         return None
 
     def overlaps_range(self, offset: int, nbytes: int) -> bool:
         """True if any live buffer intersects the range (dedup check)."""
         end = offset + nbytes
-        for buffer in self.live_buffers:
+        for buffer in self.buffers:
             if buffer.offset < end and offset < buffer.end:
                 return True
         return False
@@ -155,6 +148,12 @@ class PrefetchBufferList:
         self.buffers.append(buffer)
         return buffer
 
+    def _release(self, buffer: PrefetchBuffer, state: BufferState) -> None:
+        """Free a buffer's memory and move it to a terminal *state*."""
+        buffer.state = state
+        self.memory.free(buffer.length, self.alloc_class)
+        buffer.data = None
+
     def consume(self, buffer: PrefetchBuffer, upto: Optional[int] = None) -> None:
         """Mark a READY buffer as used by a demand read.
 
@@ -164,16 +163,14 @@ class PrefetchBufferList:
         next demand read -- how a coalesced (batch > 1) prefetch covers
         several future requests with one transfer.  ``upto=None`` (the
         default, and the only mode the golden-locked default
-        configuration exercises) consumes the whole buffer as before.
+        configuration exercises) consumes the whole buffer, which leaves
+        the list.
         """
         if buffer.state is not BufferState.READY:
             raise RuntimeError(f"consuming {buffer!r} in state {buffer.state}")
         if upto is not None and upto < buffer.end:
             if upto <= buffer.offset:
                 raise ValueError(f"partial consume to {upto} precedes {buffer!r}")
-            # The consumed head's memory is released immediately even
-            # under retain_consumed: the buffer is still live, and its
-            # accounting must keep matching ``length`` for free_all.
             freed = upto - buffer.offset
             self.memory.free(freed, self.alloc_class)
             assert buffer.data is not None
@@ -181,11 +178,9 @@ class PrefetchBufferList:
             buffer.offset = upto
             buffer.length -= freed
             return
-        buffer.state = BufferState.CONSUMED
         buffer.consumed_at = self.env.now
-        if not self.retain_consumed:
-            self.memory.free(buffer.length, self.alloc_class)
-            buffer.data = None
+        self._release(buffer, BufferState.CONSUMED)
+        self.buffers.remove(buffer)
 
     def fail(self, buffer: PrefetchBuffer) -> None:
         """Mark an in-flight buffer as failed, releasing its memory.
@@ -195,39 +190,33 @@ class PrefetchBufferList:
         """
         if buffer.state is not BufferState.IN_FLIGHT:
             raise RuntimeError(f"failing {buffer!r} in state {buffer.state}")
-        buffer.state = BufferState.FAILED
-        self.memory.free(buffer.length, self.alloc_class)
-        buffer.data = None
+        self._release(buffer, BufferState.FAILED)
+        self.buffers.remove(buffer)
         if not buffer.complete.triggered:
             buffer.complete.succeed()
 
     def discard_before(self, offset: int) -> int:
         """Free READY buffers entirely behind *offset* (stale); returns count."""
-        n = 0
+        kept: List[PrefetchBuffer] = []
         for buffer in self.buffers:
             if buffer.state is BufferState.READY and buffer.end <= offset:
-                buffer.state = BufferState.DISCARDED
-                self.memory.free(buffer.length, self.alloc_class)
-                buffer.data = None
-                n += 1
+                self._release(buffer, BufferState.DISCARDED)
+            else:
+                kept.append(buffer)
+        n = len(self.buffers) - len(kept)
+        if n:
+            self.buffers = kept
         return n
 
     def free_all(self) -> int:
-        """Release every buffer still holding memory (file close).
+        """Release every buffer (file close).
 
         In-flight buffers are marked discarded; when their data lands the
         prefetcher drops it.  Returns the number of buffers freed.
         """
-        n = 0
         for buffer in self.buffers:
-            if buffer.state in (BufferState.IN_FLIGHT, BufferState.READY):
-                buffer.state = BufferState.DISCARDED
-                self.memory.free(buffer.length, self.alloc_class)
-                buffer.data = None
-                n += 1
-            elif buffer.state is BufferState.CONSUMED and self.retain_consumed:
-                self.memory.free(buffer.length, self.alloc_class)
-                buffer.data = None
+            self._release(buffer, BufferState.DISCARDED)
+        n = len(self.buffers)
         self.buffers.clear()
         return n
 
@@ -235,8 +224,7 @@ class PrefetchBufferList:
         return self.memory.can_allocate(length)
 
     def __repr__(self) -> str:
-        live = len(self.live_buffers)
-        return f"<PrefetchBufferList {live} live / {len(self.buffers)} total>"
+        return f"<PrefetchBufferList {len(self.buffers)} live>"
 
 
 __all__ = [

@@ -18,7 +18,8 @@ Faithful to paper section 3:
   neither, which is the prefetching overhead the paper measures at
   small request sizes.
 - "The file pointer is not changed in the process of prefetching."
-- Buffers are freed at close.
+- Buffers are freed at close; this model also frees each one as soon
+  as it is consumed or goes stale (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -52,23 +53,14 @@ class Prefetcher:
     policy:
         What to fetch ahead; defaults to ``DepthKAhead(1)``, the paper's
         one-request-ahead prototype.
-    retain_consumed:
-        Keep consumed buffers' memory until close (the paper's literal
-        buffer lifecycle; off by default, see prefetch_buffer docs).
-    gc_stale:
-        Free ready buffers the sequential pointer has moved past.
     """
 
     def __init__(
         self,
         policy: Optional[DepthKAhead] = None,
-        retain_consumed: bool = False,
-        gc_stale: bool = True,
         monitor: Optional[Monitor] = None,
     ) -> None:
         self.policy = policy if policy is not None else DepthKAhead(1)
-        self.retain_consumed = retain_consumed
-        self.gc_stale = gc_stale
         self.monitor = monitor
         #: Online tuner this prefetcher is attached to (None = untuned;
         #: set by :meth:`repro.core.tuner.OnlineTuner.attach`).  The
@@ -89,9 +81,7 @@ class Prefetcher:
         if self._handle is not None:
             raise RuntimeError("a Prefetcher serves exactly one handle")
         self._handle = handle
-        self._list = PrefetchBufferList(
-            handle.env, handle.node.memory, retain_consumed=self.retain_consumed
-        )
+        self._list = PrefetchBufferList(handle.env, handle.node.memory)
         telemetry = get_telemetry(self.monitor)
         label = {"node": str(handle.node.node_id), "rank": str(handle.rank)}
         blist = self._list
@@ -103,7 +93,7 @@ class Prefetcher:
         )
         telemetry.register_probe(
             "prefetch_buffers_live",
-            lambda: float(len(blist.live_buffers)),
+            lambda: float(len(blist)),
             labels=label,
             help="Prefetch buffers currently holding memory",
         )
@@ -204,8 +194,7 @@ class Prefetcher:
                     blist.consume(buffer)
                 self.stats.bytes_served += nbytes
 
-        if self.gc_stale:
-            self.stats.discarded += blist.discard_before(offset)
+        self.stats.discarded += blist.discard_before(offset)
 
         # "A read prefetch request is issued from the client-side ... for
         # every read request that is issued by the user."

@@ -22,16 +22,16 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.config import MachineConfig, PFSConfig
-from repro.core import AdaptivePolicy, Prefetcher, make_policy
+from repro.config import PFSConfig
+from repro.core import Prefetcher
 from repro.experiments.common import (
     KB,
     MB,
     ExperimentTable,
+    build_machine,
     run_collective,
     scaled_file_size,
 )
-from repro.machine import Machine
 from repro.pfs import IOMode
 from repro.workloads import CollectiveReadWorkload
 from repro.workloads.patterns import RandomPattern, StridedPattern
@@ -191,16 +191,11 @@ def _pattern_run(
     (bandwidth, prefetch stats or None)."""
     request = request_kb * KB
     file_size = 64 * MB
-    machine = Machine(MachineConfig())
-    mount = machine.mount("/pfs", PFSConfig())
+    machine, mount = build_machine(prefetch_policy=policy_name)
     machine.create_file(mount, "data", file_size)
-
-    def policy():
-        if policy_name == "adaptive":
-            return AdaptivePolicy(window=6)
-        return make_policy(policy_name)
-
-    prefetchers = [Prefetcher(policy()) for _ in range(8)]
+    prefetchers = (
+        [machine.build_prefetcher(rank) for rank in range(8)] if policy_name != "none" else None
+    )
 
     patterns = {
         "sequential": lambda rank: StridedPattern(
@@ -225,7 +220,7 @@ def _pattern_run(
             IOMode.M_ASYNC,
             rank=0,
             nprocs=1,
-            prefetcher=prefetchers[rank] if policy_name != "none" else None,
+            prefetcher=prefetchers[rank] if prefetchers else None,
         )
 
     for rank in range(8):
@@ -253,7 +248,7 @@ def _pattern_run(
     read_time = max(h.stats.read_call_time for h in handles)
     bw = total / read_time / MB if read_time else 0.0
     stats = None
-    if policy_name != "none":
+    if prefetchers:
         stats = prefetchers[0].stats
         for pf in prefetchers[1:]:
             stats = stats.merge(pf.stats)
@@ -263,8 +258,12 @@ def _pattern_run(
 def run_policy_ablation(compute_delay: float = 0.05) -> ExperimentTable:
     """Policies vs access patterns.
 
+    Every prefetching row is the :func:`~repro.core.make_policy` preset
+    of that name, built by :meth:`Machine.build_prefetcher`.
+
     - one-ahead wins on sequential, wastes work on strided/random;
-    - depth-k's stride detection recovers the strided pattern;
+    - the stride detection of depth-k and adaptive recovers the strided
+      pattern;
     - on random access every preset wastes about as much as one-ahead:
       adaptive's ``min_depth=1`` cannot pause the pipeline.
     """
@@ -295,7 +294,7 @@ def run_buffering_ablation(request_kb: int = 64, rounds: int = 24) -> Experiment
         title=f"Ablation: Fast Path vs I/O-node buffer cache ({request_kb}KB)",
         columns=["config", "bw_cold_mbps", "bw_reread_mbps"],
     )
-    from repro.obs.ablation import mechanism, resolve_configs
+    from repro.obs.ablation import harness_kwargs, mechanism, resolve_configs
 
     request = request_kb * KB
     file_size = scaled_file_size(request, 8, rounds)
@@ -305,8 +304,7 @@ def run_buffering_ablation(request_kb: int = 64, rounds: int = 24) -> Experiment
         overrides = dict(mechanism("fastpath").off) if buffered else {}
         overrides["machine.cache_blocks"] = file_size // (64 * KB) + 16
         machine_cfg, pfs_cfg, _ = resolve_configs(overrides)
-        machine = Machine(machine_cfg)
-        mount = machine.mount("/pfs", pfs_cfg)
+        machine, mount = build_machine(**harness_kwargs(machine_cfg, pfs_cfg))
         machine.create_file(mount, "data", file_size)
         cold = CollectiveReadWorkload(
             machine, mount, "data", request_size=request, rounds=rounds
@@ -341,7 +339,7 @@ def run_prefetch_location_ablation(
         ),
         columns=["config", "bw_mbps", "mean_access_ms"],
     )
-    from repro.obs.ablation import mechanism, resolve_configs
+    from repro.obs.ablation import harness_kwargs, mechanism, resolve_configs
 
     request = request_kb * KB
     readahead_mech = mechanism("server_readahead")
@@ -358,21 +356,14 @@ def run_prefetch_location_ablation(
         overrides.update(readahead_mech.on if readahead else readahead_mech.off)
         overrides["machine.cache_blocks"] = 256
         machine_cfg, pfs_cfg, _ = resolve_configs(overrides)
-        machine = Machine(machine_cfg)
-        mount = machine.mount("/pfs", pfs_cfg)
-        machine.create_file(mount, "data", scaled_file_size(request, 8, rounds))
-        workload = CollectiveReadWorkload(
-            machine,
-            mount,
-            "data",
+        report = run_collective(
             request_size=request,
+            file_size=scaled_file_size(request, 8, rounds),
             compute_delay=compute_delay,
+            prefetch=client_prefetch,
             rounds=rounds,
-            prefetcher_factory=(
-                (lambda rank: Prefetcher()) if client_prefetch else None
-            ),
+            **harness_kwargs(machine_cfg, pfs_cfg),
         )
-        report = workload.run().report
         table.add_row(
             name,
             report.collective_bandwidth_mbps,
@@ -452,10 +443,12 @@ def run_write_strategy_ablation(
         ("write-through", True, False),
         ("write-back", True, True),
     ):
-        machine = Machine(
-            MachineConfig(write_back=write_back, cache_blocks=512, sync_interval_s=30.0)
+        machine, mount = build_machine(
+            PFSConfig(buffered=buffered),
+            write_back=write_back,
+            cache_blocks=512,
+            sync_interval_s=30.0,
         )
-        mount = machine.mount("/pfs", PFSConfig(buffered=buffered))
         machine.create_file(mount, "out", 0)
         result = CollectiveWriteWorkload(
             machine, mount, "out", request_size=request, rounds=rounds
@@ -495,8 +488,7 @@ def run_multiprogramming_ablation(
     file_size = scaled_file_size(request, 4, rounds)
 
     def run(with_interference: bool, a_prefetch: bool):
-        machine = Machine(MachineConfig())
-        mount = machine.mount("/pfs", PFSConfig())
+        machine, mount = build_machine()
         machine.create_file(mount, "fileA", file_size)
         machine.create_file(mount, "fileB", file_size)
         prefetchers = [Prefetcher() for _ in range(4)]

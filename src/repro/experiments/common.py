@@ -8,13 +8,12 @@ paper's collective-read-bandwidth metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import Prefetcher
 from repro.machine import Machine
 from repro.metrics import BandwidthReport
-from repro.pfs import IOMode
+from repro.pfs import IOMode, PFSMount
 from repro.workloads import (
     CollectiveReadWorkload,
     SeparateFilesWorkload,
@@ -110,59 +109,27 @@ class ExperimentTable:
             fh.write(self.to_json())
 
 
-def build_machine(
-    n_compute: int = 8,
-    n_io: int = 8,
-    stripe_unit: int = 64 * KB,
-    stripe_factor: int = 0,
-    buffered: bool = False,
-    cache_blocks: int = 128,
-    hardware=None,
-    trace: bool = False,
-    telemetry: bool = False,
-    tie_break: str = "fifo",
-    faults=None,
-    prefetch_policy: str = "one-ahead",
-    prefetch_depth: int = 1,
-    prefetch_quota_bytes: Optional[int] = None,
-    prefetch_stride_detect: bool = True,
-    tuner: bool = False,
-    tuner_interval_s: float = 0.05,
-):
-    """Machine + mount with the paper's defaults (8C/8IO, 64KB blocks)."""
-    config_kwargs = dict(
-        n_compute=n_compute,
-        n_io=n_io,
-        cache_blocks=cache_blocks,
-        trace=trace,
-        telemetry=telemetry,
-        tie_break=tie_break,
-        faults=faults,
-        prefetch_policy=prefetch_policy,
-        prefetch_depth=prefetch_depth,
-        prefetch_quota_bytes=prefetch_quota_bytes,
-        prefetch_stride_detect=prefetch_stride_detect,
-        tuner=tuner,
-        tuner_interval_s=tuner_interval_s,
-    )
-    if hardware is not None:
-        config_kwargs["hardware"] = hardware
-    machine = Machine(MachineConfig(**config_kwargs))
-    mount = machine.mount(
-        "/pfs",
-        PFSConfig(stripe_unit=stripe_unit, stripe_factor=stripe_factor, buffered=buffered),
-    )
-    return machine, mount
+def build_machine(pfs: PFSConfig = PFSConfig(), **config) -> Tuple[Machine, PFSMount]:
+    """Machine + ``/pfs`` mount: the one place a harness builds its machine.
 
-
-def prefetcher_factory(enabled: bool, machine: Machine) -> Optional[Callable[[int], Prefetcher]]:
-    """Per-rank prefetcher factory (None when disabled).
-
-    Routes through :meth:`Machine.build_prefetcher`, so the machine's
-    ``prefetch_policy`` / ``prefetch_depth`` / tuner knobs apply (the
-    default knobs build exactly the paper's prototype).
+    ``config`` holds :class:`MachineConfig` fields (the defaults are the
+    paper's 8C/8IO testbed, so an unknown knob raises ``TypeError``) and
+    ``pfs`` the mount's striping (64KB stripe unit across all I/O nodes).
     """
-    return machine.build_prefetcher if enabled else None
+    machine = Machine(MachineConfig(**config))
+    return machine, machine.mount("/pfs", pfs)
+
+
+def _finish(machine: Machine, report: BandwidthReport, keep_machine: bool) -> BandwidthReport:
+    """Attach the machine-level views a run was configured to record."""
+    if machine.config.trace:
+        report.breakdown = machine.obs.breakdown()
+    if machine.config.telemetry:
+        machine.obs.telemetry.finalize()
+        report.bottleneck = machine.obs.bottleneck_report()
+    if keep_machine:
+        report.machine = machine
+    return report
 
 
 def run_collective(
@@ -171,58 +138,29 @@ def run_collective(
     compute_delay: float = 0.0,
     iomode: IOMode = IOMode.M_RECORD,
     prefetch: bool = False,
-    stripe_unit: int = 64 * KB,
-    stripe_factor: int = 0,
-    n_compute: int = 8,
-    n_io: int = 8,
     rounds: Optional[int] = None,
-    buffered: bool = False,
     async_partition: bool = True,
-    hardware=None,
-    trace: bool = False,
-    telemetry: bool = False,
-    tie_break: str = "fifo",
     keep_machine: bool = False,
-    faults=None,
-    prefetch_policy: str = "one-ahead",
-    prefetch_depth: int = 1,
-    prefetch_quota_bytes: Optional[int] = None,
-    prefetch_stride_detect: bool = True,
-    tuner: bool = False,
-    tuner_interval_s: float = 0.05,
+    pfs: PFSConfig = PFSConfig(),
+    **config,
 ) -> BandwidthReport:
     """One fresh-machine collective read run; returns the report.
 
-    With ``trace=True`` the machine records request spans and the report
-    comes back with its :attr:`~repro.metrics.BandwidthReport.breakdown`
-    populated (per-layer critical-path seconds summed over all read
-    calls).  With ``telemetry=True`` resource time series are sampled and
-    :attr:`~repro.metrics.BandwidthReport.bottleneck` names the
-    saturating resource.  Neither schedules simulation events, so the
-    measured numbers are identical either way.
+    ``config`` holds :class:`MachineConfig` fields and ``pfs`` the mount
+    (see :func:`build_machine`); prefetchers come from
+    :meth:`Machine.build_prefetcher`, so the ``prefetch_*`` and ``tuner``
+    knobs apply.  With ``trace=True`` the report comes back with its
+    :attr:`~repro.metrics.BandwidthReport.breakdown` populated (per-layer
+    critical-path seconds summed over all read calls); with
+    ``telemetry=True`` :attr:`~repro.metrics.BandwidthReport.bottleneck`
+    names the saturating resource.  Neither schedules simulation events,
+    so the measured numbers are identical either way.
 
     ``keep_machine=True`` attaches the machine as ``report.machine`` so
     callers can export telemetry/traces after the fact (the attribute is
     set dynamically and never participates in equality).
     """
-    machine, mount = build_machine(
-        n_compute=n_compute,
-        n_io=n_io,
-        stripe_unit=stripe_unit,
-        stripe_factor=stripe_factor,
-        buffered=buffered,
-        hardware=hardware,
-        trace=trace,
-        telemetry=telemetry,
-        tie_break=tie_break,
-        faults=faults,
-        prefetch_policy=prefetch_policy,
-        prefetch_depth=prefetch_depth,
-        prefetch_quota_bytes=prefetch_quota_bytes,
-        prefetch_stride_detect=prefetch_stride_detect,
-        tuner=tuner,
-        tuner_interval_s=tuner_interval_s,
-    )
+    machine, mount = build_machine(pfs, **config)
     machine.create_file(mount, "data", file_size)
     workload = CollectiveReadWorkload(
         machine,
@@ -232,40 +170,24 @@ def run_collective(
         compute_delay=compute_delay,
         iomode=iomode,
         rounds=rounds,
-        prefetcher_factory=prefetcher_factory(prefetch, machine),
+        prefetcher_factory=machine.build_prefetcher if prefetch else None,
         async_partition=async_partition,
     )
-    report = workload.run().report
-    if trace:
-        report.breakdown = machine.obs.breakdown()
-    if telemetry:
-        machine.obs.telemetry.finalize()
-        report.bottleneck = machine.obs.bottleneck_report()
-    if keep_machine:
-        report.machine = machine
-    return report
+    return _finish(machine, workload.run().report, keep_machine)
 
 
 def run_separate_files(
     request_size: int,
     file_size_per_node: int,
     compute_delay: float = 0.0,
-    n_compute: int = 8,
-    n_io: int = 8,
-    stripe_unit: int = 64 * KB,
     prefetch: bool = False,
-    tie_break: str = "fifo",
-    faults=None,
+    keep_machine: bool = False,
+    pfs: PFSConfig = PFSConfig(),
+    **config,
 ) -> BandwidthReport:
     """Figure 2's "Separate Files" case: one rotated file per node."""
-    machine, mount = build_machine(
-        n_compute=n_compute,
-        n_io=n_io,
-        stripe_unit=stripe_unit,
-        tie_break=tie_break,
-        faults=faults,
-    )
-    for rank in range(n_compute):
+    machine, mount = build_machine(pfs, **config)
+    for rank in range(machine.config.n_compute):
         machine.create_file(mount, f"data{rank}", file_size_per_node, rotate=True)
     workload = SeparateFilesWorkload(
         machine,
@@ -273,9 +195,9 @@ def run_separate_files(
         "data",
         request_size=request_size,
         compute_delay=compute_delay,
-        prefetcher_factory=prefetcher_factory(prefetch, machine),
+        prefetcher_factory=machine.build_prefetcher if prefetch else None,
     )
-    return workload.run().report
+    return _finish(machine, workload.run().report, keep_machine)
 
 
 def run_strided(
@@ -284,36 +206,15 @@ def run_strided(
     stride: Optional[int] = None,
     compute_delay: float = 0.0,
     prefetch: bool = False,
-    n_compute: int = 8,
-    n_io: int = 8,
-    stripe_unit: int = 64 * KB,
     rounds: Optional[int] = None,
-    tie_break: str = "fifo",
     keep_machine: bool = False,
-    faults=None,
-    prefetch_policy: str = "one-ahead",
-    prefetch_depth: int = 1,
-    prefetch_quota_bytes: Optional[int] = None,
-    prefetch_stride_detect: bool = True,
-    tuner: bool = False,
-    tuner_interval_s: float = 0.05,
+    pfs: PFSConfig = PFSConfig(),
+    **config,
 ) -> BandwidthReport:
     """Strided M_ASYNC read over one shared file (the non-unit-stride
     family where mode arithmetic mispredicts; see
     :class:`repro.workloads.StridedReadWorkload`)."""
-    machine, mount = build_machine(
-        n_compute=n_compute,
-        n_io=n_io,
-        stripe_unit=stripe_unit,
-        tie_break=tie_break,
-        faults=faults,
-        prefetch_policy=prefetch_policy,
-        prefetch_depth=prefetch_depth,
-        prefetch_quota_bytes=prefetch_quota_bytes,
-        prefetch_stride_detect=prefetch_stride_detect,
-        tuner=tuner,
-        tuner_interval_s=tuner_interval_s,
-    )
+    machine, mount = build_machine(pfs, **config)
     machine.create_file(mount, "data", file_size)
     workload = StridedReadWorkload(
         machine,
@@ -323,12 +224,9 @@ def run_strided(
         stride=stride,
         compute_delay=compute_delay,
         rounds=rounds,
-        prefetcher_factory=prefetcher_factory(prefetch, machine),
+        prefetcher_factory=machine.build_prefetcher if prefetch else None,
     )
-    report = workload.run().report
-    if keep_machine:
-        report.machine = machine
-    return report
+    return _finish(machine, workload.run().report, keep_machine)
 
 
 def scaled_file_size(request_size: int, n_compute: int = 8, rounds: int = 16) -> int:
@@ -343,11 +241,9 @@ def run_multipass(
     iomode: IOMode = IOMode.M_RECORD,
     prefetch: bool = True,
     rounds: Optional[int] = None,
-    n_compute: int = 8,
-    n_io: int = 8,
-    tie_break: str = "fifo",
-    faults=None,
     keep_machine: bool = False,
+    pfs: PFSConfig = PFSConfig(),
+    **config,
 ) -> BandwidthReport:
     """Read the same file *passes* times on one machine; aggregate report.
 
@@ -361,12 +257,7 @@ def run_multipass(
     The aggregate report divides total bytes by the summed per-pass
     slowest-rank read-call time (each pass re-opens fresh handles).
     """
-    machine, mount = build_machine(
-        n_compute=n_compute,
-        n_io=n_io,
-        tie_break=tie_break,
-        faults=faults,
-    )
+    machine, mount = build_machine(pfs, **config)
     machine.create_file(mount, "data", file_size)
     total_bytes = 0
     read_call_time = 0.0
@@ -379,7 +270,7 @@ def run_multipass(
             request_size=request_size,
             iomode=iomode,
             rounds=rounds,
-            prefetcher_factory=prefetcher_factory(prefetch, machine),
+            prefetcher_factory=machine.build_prefetcher if prefetch else None,
         )
         result = workload.run()
         total_bytes += result.report.total_bytes
@@ -392,9 +283,7 @@ def run_multipass(
         bytes_by_rank={0: total_bytes},
         calls_by_rank={},
     )
-    if keep_machine:
-        report.machine = machine
-    return report
+    return _finish(machine, report, keep_machine)
 
 
 def speedup(with_value: float, without_value: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.config import PFSConfig
 from repro.experiments.common import (
     KB,
     DEFAULT_REQUEST_SIZES_KB,
@@ -54,7 +55,7 @@ def run_table3(
                 compute_delay=0.0,
                 iomode=IOMode.M_RECORD,
                 prefetch=True,
-                stripe_unit=su_kb * KB,
+                pfs=PFSConfig(stripe_unit=su_kb * KB),
                 n_compute=n_compute,
                 n_io=n_io,
             )
@@ -85,7 +86,7 @@ def run_table3_baseline(
                 file_size=file_size,
                 iomode=IOMode.M_RECORD,
                 prefetch=False,
-                stripe_unit=su_kb * KB,
+                pfs=PFSConfig(stripe_unit=su_kb * KB),
             )
             row.append(report.collective_bandwidth_mbps)
         table.add_row(*row)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.config import PFSConfig
 from repro.experiments.common import (
     KB,
     DEFAULT_REQUEST_SIZES_KB,
@@ -55,7 +56,7 @@ def run_table4(
                 compute_delay=0.0,
                 iomode=IOMode.M_RECORD,
                 prefetch=prefetch,
-                stripe_factor=sgroup,
+                pfs=PFSConfig(stripe_factor=sgroup),
                 n_compute=n_compute,
                 n_io=n_io,
             )

@@ -375,8 +375,6 @@ class Machine:
         *,
         policy: Optional[str] = None,
         depth: Optional[int] = None,
-        quota_bytes: Optional[int] = None,
-        stride_detect: Optional[bool] = None,
     ) -> Prefetcher:
         """A prefetcher configured from this machine's policy knobs.
 
@@ -385,26 +383,20 @@ class Machine:
         ``prefetch_stride_detect``) and, when the online tuner is
         enabled, attaches the prefetcher to it.  The default config
         yields exactly the paper's prototype (``DepthKAhead(1)``, the
-        policy of a bare ``Prefetcher()``), so factory call sites that
-        route through here stay bit-identical to the seed.
+        policy of a bare ``Prefetcher()``).
 
-        The keyword overrides let one machine serve *heterogeneous*
-        prefetch configurations -- multi-tenant scenarios where each
-        tenant names its own policy/depth (:mod:`repro.scale`) -- while
-        still inheriting the machine's monitor and tuner wiring.  The
-        positional signature stays a drop-in
+        ``policy`` / ``depth`` override the machine's preset so one
+        machine can serve tenants that each name their own
+        (:mod:`repro.scale`).  The positional signature is a
         :data:`~repro.workloads.synthetic.PrefetcherFactory`.
         """
         cfg = self.config
-        policy_name = cfg.prefetch_policy if policy is None else policy
         prefetcher = Prefetcher(
             make_policy(
-                policy_name,
+                cfg.prefetch_policy if policy is None else policy,
                 depth=cfg.prefetch_depth if depth is None else depth,
-                quota_bytes=cfg.prefetch_quota_bytes if quota_bytes is None else quota_bytes,
-                stride_detect=(
-                    cfg.prefetch_stride_detect if stride_detect is None else stride_detect
-                ),
+                quota_bytes=cfg.prefetch_quota_bytes,
+                stride_detect=cfg.prefetch_stride_detect,
             ),
             monitor=self.monitor,
         )

@@ -458,6 +458,17 @@ def _attribution(machine, report) -> Dict[str, object]:
     return record
 
 
+def harness_kwargs(machine_cfg: MachineConfig, pfs_cfg: PFSConfig) -> Dict[str, object]:
+    """Resolved configs as keyword arguments of the shared experiment
+    harnesses (:func:`repro.experiments.common.build_machine` and the
+    ``run_*`` functions built on it)."""
+    kwargs: Dict[str, object] = {
+        f.name: getattr(machine_cfg, f.name) for f in dataclasses.fields(machine_cfg)
+    }
+    kwargs["pfs"] = pfs_cfg
+    return kwargs
+
+
 def execute_run(
     spec: RunSpec,
     rounds: int = DEFAULT_ROUNDS,
@@ -465,58 +476,46 @@ def execute_run(
     tie_break: str = "fifo",
     telemetry: bool = False,
 ) -> Dict[str, object]:
-    """Execute one run on a fresh machine; returns the run record."""
-    from repro.machine import Machine
+    """Execute one run on a fresh machine; returns the run record.
+
+    The run goes through the shared experiment harnesses
+    (:mod:`repro.experiments.common`), whose prefetchers come from the
+    machine's own policy / tuner knobs; with the default knobs that is
+    exactly the paper's prototype (proven against the golden
+    fingerprints by :func:`validate_registry`).
+    """
+    from repro.experiments.common import run_collective, run_strided
     from repro.pfs import IOMode
-    from repro.workloads import CollectiveReadWorkload, StridedReadWorkload
 
     machine_cfg, pfs_cfg, workload_kw = resolve_configs(
         dict(spec.overrides), tie_break=tie_break, telemetry=telemetry
     )
-    machine = Machine(machine_cfg)
-    mount = machine.mount("/pfs", pfs_cfg)
     request = spec.request_kb * KB
-    # The prefetcher factory routes through the machine's own policy /
-    # tuner knobs; with the default knobs this builds exactly the
-    # paper's prototype (proven against the golden fingerprints by
-    # validate_registry).
-    factory = machine.build_prefetcher if workload_kw["prefetch"] else None
+    run_kw = dict(
+        request_size=request,
+        compute_delay=compute_delay,
+        rounds=rounds,
+        prefetch=workload_kw["prefetch"],
+        keep_machine=True,
+        **harness_kwargs(machine_cfg, pfs_cfg),
+    )
     if workload_kw["family"] == "strided":
         # Non-unit-stride M_ASYNC readers: stride of 3 requests (an odd
         # unit step walks all I/O nodes instead of beating on a subset).
         stride = 3 * request
-        file_size = stride * machine_cfg.n_compute * rounds
-        machine.create_file(mount, "data", file_size)
-        workload = StridedReadWorkload(
-            machine,
-            mount,
-            "data",
-            request_size=request,
-            stride=stride,
-            compute_delay=compute_delay,
-            rounds=rounds,
-            prefetcher_factory=factory,
+        report = run_strided(
+            file_size=stride * machine_cfg.n_compute * rounds, stride=stride, **run_kw
         )
     else:
-        file_size = request * machine_cfg.n_compute * rounds
-        machine.create_file(mount, "data", file_size)
-        workload = CollectiveReadWorkload(
-            machine,
-            mount,
-            "data",
-            request_size=request,
-            compute_delay=compute_delay,
+        report = run_collective(
+            file_size=request * machine_cfg.n_compute * rounds,
             iomode=IOMode[spec.mode],
-            rounds=rounds,
-            prefetcher_factory=factory,
             # M_ASYNC runs unpartitioned: every rank walks the same region
             # with its private pointer, the overlapping-readers case the
             # drive track cache exists for.
             async_partition=spec.mode != "M_ASYNC",
+            **run_kw,
         )
-    report = workload.run().report
-    if telemetry:
-        machine.obs.telemetry.finalize()
     record: Dict[str, object] = {
         "run_id": spec.run_id,
         "mode": spec.mode,
@@ -527,7 +526,7 @@ def execute_run(
         "bandwidth_mbps": _round(report.collective_bandwidth_mbps),
         "mean_read_access_s": _round(report.mean_read_access_time_s, 6),
         "total_bytes": report.total_bytes,
-        "attribution": _attribution(machine, report),
+        "attribution": _attribution(report.machine, report),
     }
     return record
 
@@ -591,34 +590,27 @@ def _golden_cell_report(
 
     Mirrors the capture settings of ``tests/golden/bench3_fingerprints.json``
     exactly (rounds=4, no compute delay) but goes through
-    :func:`resolve_configs`, so a match proves the registry's all-on
-    assembly *and* this harness's run plumbing are both no-ops.
+    :func:`resolve_configs` and the shared collective harness (whose
+    prefetchers come from :meth:`Machine.build_prefetcher`), so a match
+    proves the registry's all-on assembly *and* the config-driven run
+    plumbing are both no-ops.
     """
-    from repro.machine import Machine
+    from repro.experiments.common import run_collective
     from repro.pfs import IOMode
-    from repro.workloads import CollectiveReadWorkload
 
     overrides = dict(baseline_overrides())
     overrides["workload.prefetch"] = prefetch
     machine_cfg, pfs_cfg, workload_kw = resolve_configs(overrides)
-    machine = Machine(machine_cfg)
-    mount = machine.mount("/pfs", pfs_cfg)
     request = size_kb * KB
-    machine.create_file(mount, "data", request * machine_cfg.n_compute * 4)
-    # Routed through Machine.build_prefetcher so a golden match also
-    # proves the config-driven policy plumbing is a no-op by default.
-    factory = machine.build_prefetcher if workload_kw["prefetch"] else None
-    workload = CollectiveReadWorkload(
-        machine,
-        mount,
-        "data",
+    return run_collective(
         request_size=request,
+        file_size=request * machine_cfg.n_compute * 4,
         iomode=IOMode[iomode],
+        prefetch=workload_kw["prefetch"],
         rounds=4,
-        prefetcher_factory=factory,
         async_partition=async_partition,
+        **harness_kwargs(machine_cfg, pfs_cfg),
     )
-    return workload.run().report
 
 
 #: Golden cells re-derived by validation: (golden key, cell kwargs).

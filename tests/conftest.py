@@ -9,7 +9,6 @@ that need a non-standard shape or extra :class:`MachineConfig` knobs
 import pytest
 
 from repro.config import MachineConfig
-from repro.core import DepthKAhead, Prefetcher
 from repro.machine import Machine
 
 KB = 1024
@@ -48,17 +47,3 @@ def traced_machine(machine_factory):
 def prefetch_enabled(request):
     """Parametrised on/off axis for prefetching behaviour tests."""
     return request.param
-
-
-@pytest.fixture
-def prefetcher_factory():
-    """Per-rank prefetcher factory: ``make(enabled, depth=1)`` returns a
-    callable suitable for handing one fresh prefetcher to each rank, or
-    None when disabled."""
-
-    def make(enabled: bool = True, depth: int = 1):
-        if not enabled:
-            return None
-        return lambda rank: Prefetcher(DepthKAhead(depth=depth))
-
-    return make

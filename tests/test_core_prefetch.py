@@ -28,8 +28,8 @@ def env():
 
 
 class TestPrefetchBufferList:
-    def make(self, env, capacity=1 * MB, retain=False):
-        return PrefetchBufferList(env, MemoryRegion(capacity), retain_consumed=retain)
+    def make(self, env, capacity=1 * MB):
+        return PrefetchBufferList(env, MemoryRegion(capacity))
 
     def test_issue_allocates_memory(self, env):
         blist = self.make(env)
@@ -63,17 +63,7 @@ class TestPrefetchBufferList:
         blist.consume(buffer)
         assert buffer.state is BufferState.CONSUMED
         assert blist.memory.used_by("prefetch") == 0
-
-    def test_retain_consumed_keeps_memory_until_close(self, env):
-        from repro.ufs.data import LiteralData
-
-        blist = self.make(env, retain=True)
-        buffer = blist.issue(0, 64 * KB)
-        buffer.mark_ready(env, LiteralData(b"y" * 64 * KB))
-        blist.consume(buffer)
-        assert blist.memory.used_by("prefetch") == 64 * KB
-        blist.free_all()
-        assert blist.memory.used_by("prefetch") == 0
+        assert len(blist) == 0  # a consumed buffer leaves the list
 
     def test_consume_requires_ready(self, env):
         blist = self.make(env)
@@ -94,6 +84,8 @@ class TestPrefetchBufferList:
         assert old.state is BufferState.DISCARDED
         assert ahead.state is BufferState.READY
         assert blist.memory.used_by("prefetch") == 1 * KB
+        assert blist.buffers == [ahead]
+        assert blist.live_bytes == 1 * KB
 
     def test_free_all_marks_inflight_discarded(self, env):
         blist = self.make(env)
@@ -118,25 +110,11 @@ class TestPrefetchBufferList:
         assert blist.memory.used_by("prefetch") == 48 * KB
         assert blist.find_covering(16 * KB, 16 * KB) is buffer
         assert blist.find_covering(0, 16 * KB) is None
+        assert blist.buffers == [buffer]  # the remainder stays listed
         blist.consume(buffer)
         assert buffer.state is BufferState.CONSUMED
         assert blist.memory.used_by("prefetch") == 0
-
-    def test_partial_consume_frees_head_even_when_retaining(self, env):
-        from repro.ufs.data import LiteralData
-
-        # retain_consumed keeps *consumed buffers*; the partially-consumed
-        # head must still be freed so free_all's accounting (which frees
-        # buffer.length) matches what is held.
-        blist = self.make(env, retain=True)
-        buffer = blist.issue(0, 64 * KB)
-        buffer.mark_ready(env, LiteralData(b"y" * 64 * KB))
-        blist.consume(buffer, upto=16 * KB)
-        assert blist.memory.used_by("prefetch") == 48 * KB
-        blist.consume(buffer)
-        assert blist.memory.used_by("prefetch") == 48 * KB  # retained
-        blist.free_all()
-        assert blist.memory.used_by("prefetch") == 0
+        assert len(blist) == 0
 
     def test_partial_consume_validates_upto(self, env):
         from repro.ufs.data import LiteralData
@@ -493,7 +471,7 @@ class TestPrefetcherIntegration:
         machine.spawn(run())
         machine.run()
         assert h.node.memory.used_by("prefetch") == 0
-        assert len(pf.buffer_list.live_buffers) == 0
+        assert len(pf.buffer_list) == 0
 
     def test_close_with_inflight_prefetch_is_safe(self):
         machine = make_machine()

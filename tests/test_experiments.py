@@ -3,11 +3,15 @@ and small-scale smoke runs of each artifact."""
 
 import pytest
 
+from repro.config import PFSConfig
 from repro.experiments.common import (
     KB,
     ExperimentTable,
+    build_machine,
     run_collective,
+    run_multipass,
     run_separate_files,
+    run_strided,
     scaled_file_size,
     speedup,
 )
@@ -100,6 +104,65 @@ class TestCommonHelpers:
             n_io=4,
         )
         assert report.total_bytes == 4 * 4 * 64 * KB
+
+
+#: One small call per harness: (harness, its workload arguments).
+HARNESS_CALLS = (
+    (run_collective, dict(request_size=64 * KB, file_size=64 * KB * 8, rounds=2)),
+    (run_strided, dict(request_size=64 * KB, file_size=64 * KB * 24, rounds=2)),
+    (run_separate_files, dict(request_size=64 * KB, file_size_per_node=64 * KB * 2)),
+    (run_multipass, dict(request_size=64 * KB, file_size=64 * KB * 8, passes=1, rounds=2)),
+)
+
+
+class TestHarnessContract:
+    """Every harness builds its machine from ``MachineConfig`` fields
+    (``**config``) and a ``PFSConfig`` (``pfs=``) through build_machine."""
+
+    @pytest.mark.parametrize(
+        "harness, kwargs", HARNESS_CALLS, ids=[h.__name__ for h, _ in HARNESS_CALLS]
+    )
+    @pytest.mark.parametrize("knob", ["prefetch_deph", "stripe_unit"])
+    def test_unknown_knob_raises(self, harness, kwargs, knob):
+        with pytest.raises(TypeError, match=knob):
+            harness(**kwargs, **{knob: 2})
+
+    def test_build_machine_mounts_pfs_config(self):
+        pfs = PFSConfig(stripe_unit=16 * KB, stripe_factor=2, buffered=True)
+        machine, mount = build_machine(pfs, n_compute=2, n_io=4)
+        assert machine.config.n_compute == 2 and machine.config.n_io == 4
+        assert mount.name == "/pfs" and mount.buffered
+        assert mount.default_attrs.stripe_unit == 16 * KB
+        assert mount.default_attrs.stripe_group == (0, 1)
+
+    @pytest.mark.parametrize("policy, issues", [("one-ahead", True), ("none", False)])
+    def test_separate_files_honours_prefetch_policy(self, policy, issues):
+        report = run_separate_files(
+            request_size=64 * KB,
+            file_size_per_node=4 * 64 * KB,
+            compute_delay=0.05,
+            prefetch=True,
+            n_compute=2,
+            n_io=2,
+            prefetch_policy=policy,
+        )
+        assert report.prefetch is not None
+        assert (report.prefetch.issued > 0) is issues
+
+    @pytest.mark.parametrize("policy, issues", [("one-ahead", True), ("none", False)])
+    def test_multipass_honours_prefetch_policy(self, policy, issues):
+        report = run_multipass(
+            64 * KB,
+            64 * KB * 2 * 4,
+            passes=2,
+            rounds=4,
+            n_compute=2,
+            n_io=2,
+            prefetch_policy=policy,
+            keep_machine=True,
+        )
+        issued = report.machine.monitor.counter_value("prefetch.issued")
+        assert (issued > 0) is issues
 
 
 class TestShapeCheckers:

@@ -205,12 +205,16 @@ class TestPrefetchFailureResilience:
         pf = Prefetcher()
         handle = open_handle(machine, mount, "data", prefetcher=pf)
 
+        issued = []
+
         def proc():
             yield from handle.read(64 * KB)
+            issued.extend(pf.buffer_list.buffers)
             machine.arrays[0].inject_failures(1)
             yield machine.env.timeout(0.5)
 
         machine.spawn(proc())
         machine.run()
-        states = [b.state for b in pf.buffer_list.buffers]
-        assert BufferState.FAILED in states
+        assert len(issued) == 1
+        assert issued[0].state is BufferState.FAILED
+        assert issued[0] not in pf.buffer_list.buffers
