@@ -181,7 +181,6 @@ def run_separate_files(
     file_size_per_node: int,
     compute_delay: float = 0.0,
     prefetch: bool = False,
-    keep_machine: bool = False,
     pfs: PFSConfig = PFSConfig(),
     **config,
 ) -> BandwidthReport:
@@ -197,7 +196,7 @@ def run_separate_files(
         compute_delay=compute_delay,
         prefetcher_factory=machine.build_prefetcher if prefetch else None,
     )
-    return _finish(machine, workload.run().report, keep_machine)
+    return _finish(machine, workload.run().report, False)
 
 
 def run_strided(
