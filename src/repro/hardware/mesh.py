@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.sim import ArbitratedResource, Environment
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event, Timeout, fire
 from repro.obs.monitor import Monitor
 
 Coord = Tuple[int, int]
@@ -94,9 +94,11 @@ class _FastWorm:
 
     The caller waits on ``proxy``, an event that is never scheduled: the
     pop of the final grant (or of a collapsed walk's completion) runs
-    :meth:`_finish`, which invokes the proxy's callbacks synchronously
-    on that same pop -- exactly when the generator version would have
-    resumed the caller.
+    :meth:`_finish`, which gives the proxy ``value`` and invokes its
+    callbacks synchronously on that same pop -- exactly when the
+    generator version would have resumed the caller.  The proxy may be
+    the event a receiver waits on (see :meth:`Mesh.post`), so delivery
+    itself wakes the receiver.
     """
 
     __slots__ = (
@@ -111,12 +113,14 @@ class _FastWorm:
         "granted",
         "requested_at",
         "proxy",
+        "value",
     )
 
-    def __init__(self, mesh: "Mesh", message: MeshMessage, proxy: Event) -> None:
+    def __init__(self, mesh: "Mesh", message: MeshMessage, proxy: Event, value: Any) -> None:
         self.mesh = mesh
         self.message = message
         self.proxy = proxy
+        self.value = value
         p = mesh.params
         route = self.route = mesh._route(message.src, message.dst)
         self.route_key = (message.src, message.dst)
@@ -263,13 +267,7 @@ class _FastWorm:
             mesh._s_latency.record(released_at - message.enqueued_at)
         # Wake the caller on this same event pop (no extra event), just
         # as the generator version's single resume would have.
-        proxy = self.proxy
-        proxy._ok = True
-        proxy._value = message
-        callbacks = proxy.callbacks
-        proxy.callbacks = None
-        for callback in callbacks:
-            callback(proxy)
+        fire(self.proxy, self.value)
 
 
 class Mesh:
@@ -407,6 +405,18 @@ class Mesh:
             p.sw_overhead_s + self.hops(src, dst) * p.per_hop_s + size_bytes / p.link_bandwidth_bps
         )
 
+    # fast-path: requires=faults,tracer,telemetry -- a callback worm with no waiting generator; legal only where _FastWorm is
+    def post(self, message: MeshMessage, arrived: Event, value: Any) -> None:
+        """Transmit *message* with no process: fire *arrived* on delivery.
+
+        The callback twin of :meth:`send`: the worm's final pop gives
+        *arrived* ``value`` and runs its callbacks synchronously, with no
+        scheduled event of its own -- the same instant ``send``'s caller
+        would have resumed.
+        """
+        message.enqueued_at = self.env._now
+        _FastWorm(self, message, arrived, value)
+
     def send(self, message: MeshMessage):
         """Generator: transmit *message*; completes when delivered.
 
@@ -419,7 +429,7 @@ class Mesh:
             raise ValueError("message size must be non-negative")
         if self._fast_sends:
             proxy = Event(env)
-            _FastWorm(self, message, proxy)
+            _FastWorm(self, message, proxy, message)
             return (yield proxy)
         p = self.params
         tracer = self.tracer

@@ -10,7 +10,7 @@ UFS and disk hardware.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.hardware.memory import MemoryRegion
 from repro.hardware.params import NodeParams
@@ -114,6 +114,29 @@ class Node:
             yield req
             if seconds > 0:
                 self.msgproc_busy_s += seconds
+
+    # fast-path: requires=faults,tracer,telemetry -- a merged landing grant continued by a callback, for callback RPC chains
+    def receive_then(self, nbytes: int, key: tuple, then: Callable[[], None]) -> None:
+        """Callback twin of :meth:`receive`: land *nbytes* under *key*, then call ``then()``.
+
+        *key* is the arbitration key of the process this stands in for
+        (a callback has no active process to take it from).  ``then``
+        runs on the pop of the merged grant, when :meth:`receive` would
+        have returned.
+        """
+        seconds = nbytes / self.params.receive_bps
+        msgproc = self.msgproc
+        req = msgproc.request(  # sim-ok: R005, R005v2 -- released by landed(), which runs on this grant's own pop
+            key=key, resume_delay=seconds
+        )
+
+        def landed(_event: "Event") -> None:
+            if seconds > 0:
+                self.msgproc_busy_s += seconds
+            msgproc.release(req)
+            then()
+
+        req.callbacks.append(landed)
 
     def landing_copy(self, nbytes: int):
         """Copy received data into a staging buffer (e.g. a prefetch

@@ -126,6 +126,22 @@ class Environment:
         """
         return Process(self, generator, name=name, order_key=order_key)
 
+    def next_order_key(self) -> tuple:
+        """Claim the causal order key a process spawned now would get.
+
+        Outside any process this advances the root counter; inside one it
+        advances the running process's child counter (see
+        :attr:`~repro.sim.process.Process.order_key`).  A callback chain
+        standing in for a process reserves its key here, so every key
+        handed out after it is the one the process version would give.
+        """
+        parent = self._active_process
+        if parent is None:
+            self._root_processes += 1
+            return (self._root_processes,)
+        parent._children += 1
+        return parent.order_key + (parent._children,)
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all *events* have fired."""
         return AllOf(self, events)

@@ -123,6 +123,24 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+def fire(event: Event, value: Any, ok: bool = True) -> None:
+    """Process a never-scheduled *event* inside the current event pop.
+
+    Gives *event* its outcome and runs its callbacks synchronously, so no
+    event is scheduled for it.  A callback chain that stands in for a
+    process (a mesh worm, a callback RPC) uses this to wake its waiter at
+    the very pop that completed the chain -- the instant the process
+    version would have resumed it.  A failure is delivered only to the
+    callbacks; a waiting process defuses it by handling it.
+    """
+    event._ok = ok
+    event._value = value
+    callbacks = event.callbacks
+    event.callbacks = None
+    for callback in callbacks:
+        callback(event)
+
+
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 

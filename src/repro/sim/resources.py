@@ -19,7 +19,7 @@ managers for automatic release::
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, List
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.sim.events import PENDING, Event
 
@@ -438,13 +438,25 @@ class ArbitratedStore:
     lands first*, never *how long anything takes*.  The admitted items
     live in ``.items`` (same attribute as :class:`Store`, so telemetry
     probes and pool scans keep working).
+
+    ``consumer`` replaces the get side: each admitted item is handed to
+    ``consumer(item)`` during settlement, in the same canonical order a
+    single looping getter would take it, and never lands in ``.items``.
+    A consumer that would only loop on ``get()`` then costs no wake-up
+    event per item.
     """
 
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
+    def __init__(
+        self,
+        env: "Environment",
+        capacity: float = float("inf"),
+        consumer: Optional[Callable[[Any], None]] = None,
+    ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be > 0")
         self.env = env
         self._capacity = capacity
+        self.consumer = consumer
         self.items: List[Any] = []
         self._put_queue: List[ArbitratedStorePut] = []
         self._get_queue: List[ArbitratedStoreGet] = []
@@ -495,9 +507,13 @@ class ArbitratedStore:
             if self._put_queue and len(self.items) < self._capacity:
                 if len(self._put_queue) > 1:
                     self._put_queue.sort(key=self._order)
+                consumer = self.consumer
                 while self._put_queue and len(self.items) < self._capacity:
                     put = self._put_queue.pop(0)
-                    self.items.append(put.item)
+                    if consumer is None:
+                        self.items.append(put.item)
+                    else:
+                        consumer(put.item)
                     if put.callbacks or self.env._tick_hooks:
                         put.succeed()
                     else:
