@@ -39,7 +39,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 from repro.analysis.dataflow import (
     ALL_FACETS,
     ClassAttrs,
+    GATE_REF,
     ReachingDefs,
+    attr_gate,
     gate_facets,
     unordered_source,
 )
@@ -52,7 +54,7 @@ from repro.analysis.rules import (
 )
 from repro.analysis.suppressions import parse_suppressions
 
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: ``# fast-path`` pragma, optionally with explicit required facets:
 #: ``# fast-path: requires=faults,tracer,telemetry``.  Anything after
@@ -101,7 +103,8 @@ class CallSite:
     - ``("unknown",)`` -- anything else (no edge)
 
     ``guard_facets`` are the fast-path gate facets established by the
-    ``if`` guards lexically dominating the call (rule R006).
+    ``if`` guards lexically dominating the call (rule R006), including
+    ``@Class.attr`` gate references the linked project resolves.
     ``arg_names`` are top-level positional ``Name`` arguments (position,
     name); ``nested_names`` every name appearing anywhere in the
     arguments (escape analysis); ``assigned_to`` the local name the
@@ -247,6 +250,8 @@ class ClassFact:
     methods: Tuple[str, ...]
     bases: Tuple[str, ...]  # base-class names resolvable in module scope
     attr_types: Tuple[Tuple[str, str], ...]  # (attr, class name in module scope)
+    #: (attr, gate facets / references a truthy ``self.attr`` establishes)
+    attr_gates: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -255,6 +260,7 @@ class ClassFact:
             "methods": list(self.methods),
             "bases": list(self.bases),
             "attr_types": [list(t) for t in self.attr_types],
+            "attr_gates": [[attr, list(facets)] for attr, facets in self.attr_gates],
         }
 
     @classmethod
@@ -265,6 +271,7 @@ class ClassFact:
             methods=tuple(d["methods"]),
             bases=tuple(d["bases"]),
             attr_types=tuple((t[0], t[1]) for t in d["attr_types"]),
+            attr_gates=tuple((g[0], tuple(g[1])) for g in d["attr_gates"]),
         )
 
 
@@ -385,12 +392,14 @@ class _FunctionExtractor:
         pragmas: Dict[int, Tuple[str, ...]],
         class_pragma: Optional[Tuple[str, ...]],
         class_attrs: Optional[ClassAttrs],
+        attr_types: Optional[Dict[str, str]],
         aliases: Dict[str, str],
     ) -> None:
         self.func = func
         self.qname = qname
         self.is_method = is_method
         self.class_attrs = class_attrs
+        self.attr_types = attr_types
         self.aliases = aliases
         self.defs = ReachingDefs(func)
         self.pragma = _pragma_for(func, pragmas) or class_pragma
@@ -611,7 +620,7 @@ class _FunctionExtractor:
         target = self._symbolic_target(func, env)
         facets: FrozenSet[str] = frozenset()
         for test in guard_stack:
-            facets |= gate_facets(test, env, self.class_attrs)
+            facets |= gate_facets(test, env, self.class_attrs, attr_types=self.attr_types)
         arg_names: List[Tuple[int, str]] = []
         nested: Set[str] = set()
         for pos, arg in enumerate(call.args):
@@ -726,25 +735,27 @@ def extract_module(source: str, path: str, module: Optional[str] = None) -> Modu
         is_method: bool,
         class_pragma: Optional[Tuple[str, ...]],
         class_attrs: Optional[ClassAttrs],
+        attr_types: Optional[Dict[str, str]],
     ) -> None:
         fact = _FunctionExtractor(
-            node, qname, is_method, pragmas, class_pragma, class_attrs, aliases
+            node, qname, is_method, pragmas, class_pragma, class_attrs, attr_types, aliases
         ).run()
         functions.append(fact)
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            extract_function(node, node.name, False, None, None)
+            extract_function(node, node.name, False, None, None, None)
         elif isinstance(node, ast.ClassDef):
             class_pragma = _pragma_for(node, pragmas)
             attrs = _collect_class_attrs(node)
             attr_types = _collect_attr_types(node)
+            gates = {attr: attr_gate(attr, attrs, attr_types) for attr in sorted(attrs)}
             methods = []
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     methods.append(item.name)
                     extract_function(
-                        item, f"{node.name}.{item.name}", True, class_pragma, attrs
+                        item, f"{node.name}.{item.name}", True, class_pragma, attrs, attr_types
                     )
             bases = []
             for base in node.bases:
@@ -759,6 +770,11 @@ def extract_module(source: str, path: str, module: Optional[str] = None) -> Modu
                     methods=tuple(methods),
                     bases=tuple(bases),
                     attr_types=tuple(sorted(attr_types.items())),
+                    attr_gates=tuple(
+                        (attr, tuple(sorted(gate)))
+                        for attr, gate in gates.items()
+                        if gate
+                    ),
                 )
             )
     table = parse_suppressions(source)
@@ -934,6 +950,26 @@ class Project:
         if resolved is None or resolved[0] != "class":
             return None
         return self._classes.get((resolved[1], resolved[2]))
+
+    def resolve_facets(
+        self, module: str, facets: Sequence[str], depth: int = 4
+    ) -> FrozenSet[str]:
+        """Gate facets with every ``@Class.attr`` reference (relative to
+        *module*) replaced by what that class's attribute establishes;
+        an unresolvable reference establishes nothing."""
+        out: Set[str] = set()
+        for facet in facets:
+            if not facet.startswith(GATE_REF):
+                out.add(facet)
+                continue
+            class_name, attr = facet[len(GATE_REF):].split(".", 1)
+            resolved = self.resolve_symbol(module, class_name)
+            if depth <= 0 or resolved is None or resolved[0] != "class":
+                continue
+            cfact = self._classes.get((resolved[1], resolved[2]))
+            gate = dict(cfact.attr_gates).get(attr, ()) if cfact is not None else ()
+            out |= self.resolve_facets(resolved[1], gate, depth - 1)
+        return frozenset(out)
 
     def method_fid(
         self, module: str, class_name: str, meth: str, depth: int = 6

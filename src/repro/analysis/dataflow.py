@@ -21,7 +21,13 @@ built on.  Two clients:
   class-attribute) definitions, so ``if self._fast_sends:`` resolves
   through ``self._fast_sends = faults is None and not
   self.tracer.enabled and self._merge_grants`` and on through
-  ``self._merge_grants = not self.telemetry.enabled``.
+  ``self._merge_grants = not self.telemetry.enabled``.  One attribute
+  hop reaches another class's gate: ``self.mesh._fast_sends``, with
+  ``self.mesh`` typed ``Mesh``, yields the *gate reference*
+  ``@Mesh._fast_sends``, which the linked project resolves through
+  ``Mesh``'s own definition of ``_fast_sends`` (a layer that inherits
+  its gate from the layer below states no facets of its own; the
+  machine hands every layer the same fault plan, tracer and telemetry).
 """
 
 from __future__ import annotations
@@ -233,12 +239,18 @@ def _is_faults_symbol(chain: str) -> bool:
 #: ever assigned to it (``None`` marks an opaque assignment).
 ClassAttrs = Dict[str, Tuple[Optional[ast.expr], ...]]
 
+#: Prefix of a gate reference facet, ``@Class.attr``: "whatever facets
+#: ``Class``'s ``attr`` establishes", left for the linked project to
+#: resolve (the class may live in another module).
+GATE_REF = "@"
+
 
 def gate_facets(
     test: ast.expr,
     env: Env,
     class_attrs: Optional[ClassAttrs] = None,
     depth: int = 4,
+    attr_types: Optional[Dict[str, str]] = None,
 ) -> FrozenSet[str]:
     """Facets guaranteed to hold whenever *test* evaluates truthy.
 
@@ -250,11 +262,13 @@ def gate_facets(
     - a bare name or ``self`` attribute expands through its reaching /
       class-attribute definitions; the facet set is the intersection
       over all possible definitions (an opaque definition yields none).
+    - ``self.a.b`` with ``a`` typed ``C`` in *attr_types* -> the gate
+      reference ``@C.b``.
     """
     if depth <= 0:
         return frozenset()
     if isinstance(test, ast.BoolOp):
-        sets = [gate_facets(v, env, class_attrs, depth) for v in test.values]
+        sets = [gate_facets(v, env, class_attrs, depth, attr_types) for v in test.values]
         if isinstance(test.op, ast.And):
             out: FrozenSet[str] = frozenset()
             for s in sets:
@@ -286,7 +300,15 @@ def gate_facets(
     chain = dotted_chain(test)
     if chain is None:
         return frozenset()
-    return _expand_symbol(chain, env, class_attrs, depth)
+    return _expand_symbol(chain, env, class_attrs, depth, attr_types)
+
+
+def attr_gate(
+    attr: str, class_attrs: ClassAttrs, attr_types: Dict[str, str]
+) -> FrozenSet[str]:
+    """Facets (and gate references) a truthy ``self.<attr>`` establishes,
+    from the class's own definitions alone."""
+    return _expand_symbol(f"self.{attr}", {}, class_attrs, 4, attr_types)
 
 
 def _expand_symbol(
@@ -294,6 +316,7 @@ def _expand_symbol(
     env: Env,
     class_attrs: Optional[ClassAttrs],
     depth: int,
+    attr_types: Optional[Dict[str, str]] = None,
 ) -> FrozenSet[str]:
     """Facets established by a truthy name/attribute, via its definitions."""
     exprs: Optional[Sequence[Optional[ast.expr]]] = None
@@ -303,13 +326,17 @@ def _expand_symbol(
             exprs = [d.expr for d in defs]
     elif chain.startswith("self.") and chain.count(".") == 1 and class_attrs is not None:
         exprs = class_attrs.get(chain.split(".", 1)[1])
+    elif chain.startswith("self.") and chain.count(".") == 2 and attr_types is not None:
+        _self, owner, attr = chain.split(".")
+        cls = attr_types.get(owner)
+        return frozenset((f"{GATE_REF}{cls}.{attr}",)) if cls else frozenset()
     if not exprs:
         return frozenset()
     out: Optional[FrozenSet[str]] = None
     for expr in exprs:
         if expr is None:
             return frozenset()  # any opaque definition defeats the gate
-        facets = gate_facets(expr, env, class_attrs, depth - 1)
+        facets = gate_facets(expr, env, class_attrs, depth - 1, attr_types)
         out = facets if out is None else (out & facets)
         if not out:
             return frozenset()

@@ -472,7 +472,8 @@ class InterprocAnalysis:
                 required = frozenset(callee.pragma)
                 # The caller's own pragma pushes the obligation to *its*
                 # callers, which this same loop checks.
-                have = frozenset(edge.site.guard_facets) | caller_facets
+                module = fid.split(":", 1)[0]
+                have = project.resolve_facets(module, edge.site.guard_facets) | caller_facets
                 missing = sorted(required - have)
                 if not missing:
                     continue

@@ -534,6 +534,55 @@ class TestR006FastPathGating:
         )
         assert findings == []
 
+    #: A lower layer owning the gate, and an upper layer (another module)
+    #: whose own gate is the lower layer's, reached through a typed
+    #: ``self.lower`` attribute.
+    LAYERED = {
+        "pkg/__init__.py": "",
+        "pkg/lower.py": """
+            class Lower:
+                def __init__(self, faults, tracer):
+                    self._fast = GATE
+            """,
+        "pkg/upper.py": """
+            from pkg.lower import Lower
+
+            # fast-path: requires=faults,tracer
+            def fast(env):
+                pass
+
+            class Upper:
+                def __init__(self, lower: Lower):
+                    self.lower = lower
+                    self._fast = self.lower._fast
+
+                def run(self, env):
+                    if self._fast:
+                        fast(env)
+            """,
+    }
+
+    def _layered(self, gate):
+        files = dict(self.LAYERED)
+        files["pkg/lower.py"] = files["pkg/lower.py"].replace("GATE", gate)
+        return files
+
+    def test_gate_inherited_through_typed_attribute(self, tmp_path):
+        files = self._layered("faults is None and not tracer.enabled")
+        assert analyze(tmp_path, files) == []
+
+    def test_inherited_gate_reports_what_the_lower_gate_lacks(self, tmp_path):
+        findings = analyze(tmp_path, self._layered("faults is None"))
+        assert rule_ids(findings) == ["R006"]
+        assert "establishing: tracer;" in findings[0].message
+
+    def test_untyped_attribute_hop_establishes_nothing(self, tmp_path):
+        files = self._layered("faults is None and not tracer.enabled")
+        files["pkg/upper.py"] = files["pkg/upper.py"].replace("lower: Lower", "lower")
+        findings = analyze(tmp_path, files)
+        assert rule_ids(findings) == ["R006"]
+        assert "establishing: faults, tracer;" in findings[0].message
+
     def test_gate_via_local_variable_definition(self, tmp_path):
         findings = analyze(
             tmp_path,
@@ -897,3 +946,17 @@ class TestShippedTree:
             if e.callee == "repro.hardware.mesh:_FastWorm.__init__"
         ]
         assert sites and set(sites[0].guard_facets) == {"faults", "tracer", "telemetry"}
+
+    def test_callback_rpc_gates_resolve_to_the_mesh_gate(self):
+        summaries, _stats = summarize_paths(["src"])
+        project = Project(summaries)
+        cases = (
+            ("repro.paragonos.rpc:RPCEndpoint._send_reply", "repro.hardware.mesh:Mesh.post"),
+            ("repro.pfs.client:PFSClient.transfer_read", "repro.pfs.client:PFSClient._post_pieces"),
+        )
+        for caller, callee in cases:
+            sites = [e.site for e in project.edges[caller] if e.callee == callee]
+            assert sites, (caller, callee)
+            module = caller.split(":", 1)[0]
+            facets = project.resolve_facets(module, sites[0].guard_facets)
+            assert facets == {"faults", "tracer", "telemetry"}, (caller, callee)
